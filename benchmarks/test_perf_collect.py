@@ -27,7 +27,12 @@ import os
 import pathlib
 import time
 
-from repro.measurement.campaign import Campaign, _merge_union
+from repro.measurement.campaign import (
+    Campaign,
+    CollectionResult,
+    _merge_union,
+)
+from repro.net.scanner import Scanner
 from repro.webpki.ecosystem import VANTAGE_AU, VANTAGE_US
 
 
@@ -42,10 +47,24 @@ def test_perf_collect_snapshot(ecosystem):
     rounds = 5
     workers = 4
 
+    vantages = (VANTAGE_US, VANTAGE_AU)
+    all_domains = [d.domain for d in ecosystem.deployments]
+
     def sequential():
-        campaign = _fresh_campaign(ecosystem)
+        # the direct sweep: every unit exchanges with its handler live
+        network = ecosystem.install()
         start = time.perf_counter()
-        result = campaign.collect()
+        per_vantage = {vantage: Scanner(network, vantage).scan(all_domains)
+                       for vantage in vantages}
+        chain_keys, observations, all_certs = _merge_union(vantages,
+                                                           per_vantage)
+        result = CollectionResult(
+            per_vantage=per_vantage, observations=observations,
+            reachable_counts={v: sum(1 for r in records if r.success)
+                              for v, records in per_vantage.items()},
+            unique_chains=len(chain_keys),
+            unique_certificates=len(all_certs),
+        )
         return time.perf_counter() - start, result
 
     def parallel():

@@ -16,6 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime
 
+from repro import obs
 from repro.chainbuilder.clients import (
     ALL_CLIENTS,
     DIFFERENTIAL_BROWSERS,
@@ -207,44 +208,6 @@ def attribute_with_evidence(outcome: ChainOutcome) -> tuple[Evidence, ...]:
 #: scheduled but not yet resolved during a deduplicated run.
 _PENDING = object()
 
-#: Inputs for the current differential pool phase (parent sets this
-#: immediately before forking; workers inherit it copy-on-write).
-_POOL_STATE: tuple | None = None
-
-
-def _evaluate_span(indices: list[int]):
-    """Worker: evaluate one span of observation indices.
-
-    Returns ``(outcomes, metrics_snapshot, spans)``.  The span runs
-    under a fresh metrics registry (when the parent's was live at
-    fork) so its snapshot is exactly this span's delta; likewise a
-    fresh :class:`~repro.obs.trace.Tracer` collects this span's
-    handshake/build timing tree, returned as picklable root spans for
-    the parent to adopt — a null tracer here would silently drop
-    every worker span from ``--trace-out``.
-    """
-    from repro import obs
-    from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
-    from repro.obs.trace import NULL_TRACER, Tracer
-
-    (harness, observations, at_time,
-     live_metrics, live_trace) = _POOL_STATE
-    if live_metrics or live_trace:
-        obs.enable(
-            metrics=MetricsRegistry() if live_metrics else NULL_REGISTRY,
-            tracer=Tracer() if live_trace else NULL_TRACER,
-        )
-    tracer = obs.get_tracer()
-    with tracer.span("differential.span", chains=len(indices)):
-        outcomes = [
-            harness.evaluate(observations[i][0], observations[i][1],
-                             at_time=at_time)
-            for i in indices
-        ]
-    snapshot = obs.get_metrics().snapshot() if live_metrics else None
-    spans = tracer.roots() if live_trace else None
-    return outcomes, snapshot, spans
-
 
 class DifferentialHarness:
     """Runs a set of client models over (domain, chain) observations.
@@ -332,7 +295,6 @@ class DifferentialHarness:
         cache=None,
         verdict_store=None,
         workers: int = 1,
-        oversubscribe: bool = False,
     ) -> DifferentialReport:
         """Evaluate a corpus; optionally let Firefox learn as it goes.
 
@@ -391,15 +353,14 @@ class DifferentialHarness:
                 self.cache.observe_chain(chain)
             return report
 
-        from repro.measurement.parallel import resolve_workers
+        from repro.measurement.executor import resolve_workers, run_spans
+        from repro.measurement.parallel import chain_key, chain_key_hex
 
-        keys = [tuple(c.fingerprint for c in chain)
-                for _, chain in observations]
+        keys = [chain_key(chain) for _, chain in observations]
         capability = hexkeys = None
         if verdict_store is not None:
             capability = self.capability_digest()
-            hexkeys = [tuple(c.fingerprint_hex for c in chain)
-                       for _, chain in observations]
+            hexkeys = [chain_key_hex(chain) for _, chain in observations]
         results: list[ChainOutcome | None] = [None] * len(observations)
         local: dict[tuple[str, tuple[bytes, ...]], ChainOutcome] = {}
         pending: list[int] = []
@@ -429,18 +390,19 @@ class DifferentialHarness:
             local[pair] = _PENDING
             pending.append(index)
 
-        effective, mode = resolve_workers(workers,
-                                          oversubscribe=oversubscribe)
-        if mode == "fork-pool" and len(pending) > 1:
-            evaluated = self._evaluate_pool(
-                observations, pending, at_time=at_time, workers=effective
-            )
-        else:
-            evaluated = [
-                self.evaluate(observations[i][0], observations[i][1],
-                              at_time=at_time)
-                for i in pending
-            ]
+        def evaluate_span(start: int, end: int, tick) -> list[ChainOutcome]:
+            with obs.get_tracer().span("differential.span",
+                                       chains=end - start):
+                return [self.evaluate(*observations[index], at_time=at_time)
+                        for index in pending[start:end]]
+
+        effective, _ = resolve_workers(workers)
+        evaluated = [
+            outcome
+            for _, _, outcomes in run_spans(evaluate_span, len(pending),
+                                            effective, 256)
+            for outcome in outcomes
+        ]
         for index, outcome in zip(pending, evaluated):
             domain = observations[index][0]
             results[index] = outcome
@@ -473,53 +435,6 @@ class DifferentialHarness:
         if (domain, chain_key) not in recorded:
             journal.record("differential", chain_key=list(chain_key),
                            **outcome.to_event())
-
-    def _evaluate_pool(self, observations, pending, *, at_time,
-                       workers) -> list[ChainOutcome]:
-        """Fork-pool evaluation of ``pending`` observation indices.
-
-        Spans are submitted and merged in index order; workers inherit
-        the harness via fork and run under a fresh metrics registry
-        whose snapshot the parent merges (same model as
-        :mod:`repro.measurement.parallel`).
-        """
-        import math
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        from repro import obs
-        from repro.obs.metrics import NullMetricsRegistry
-        from repro.obs.trace import NullTracer
-
-        metrics = obs.get_metrics()
-        tracer = obs.get_tracer()
-        live_metrics = not isinstance(metrics, NullMetricsRegistry)
-        live_trace = not isinstance(tracer, NullTracer)
-        span = max(1, min(256, math.ceil(len(pending) / workers)))
-        spans = [pending[start:start + span]
-                 for start in range(0, len(pending), span)]
-        global _POOL_STATE
-        _POOL_STATE = (self, observations, at_time,
-                       live_metrics, live_trace)
-        try:
-            context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(max_workers=workers,
-                                     mp_context=context) as pool:
-                futures = [pool.submit(_evaluate_span, chunk)
-                           for chunk in spans]
-                evaluated: list[ChainOutcome] = []
-                for lane, future in enumerate(futures, 1):
-                    outcomes, snapshot, worker_spans = future.result()
-                    evaluated.extend(outcomes)
-                    if snapshot:
-                        metrics.merge_snapshot(snapshot)
-                    if worker_spans:
-                        # one Chrome-trace lane per span, in submission
-                        # order — same convention as the analyse pool
-                        tracer.adopt(worker_spans, thread_id=lane)
-        finally:
-            _POOL_STATE = None
-        return evaluated
 
 
 __all__ = [

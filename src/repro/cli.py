@@ -949,16 +949,16 @@ def build_parser() -> argparse.ArgumentParser:
                            "this many consecutive unreachable scans "
                            "(0: disabled)")
     scan.add_argument("--workers", type=int, default=0,
-                      help="analyse through the deduplicating pipeline "
-                           "with this many workers (capped at the core "
-                           "count; 0: plain sequential loop)")
+                      help="analyse unique chains across this many "
+                           "forked workers (capped at the core count; "
+                           "0 or 1: in-process; output is "
+                           "byte-identical for any count)")
     scan.add_argument("--collect-workers", type=int, default=0,
-                      help="collect through the probe/replay pipeline "
-                           "with this many probe workers (capped at "
-                           "the core count; output is byte-identical "
-                           "to the sequential scan for any count; "
-                           "requires --simulate-network; 0: direct "
-                           "sequential scan)")
+                      help="probe handshakes across this many forked "
+                           "workers before the sequential replay "
+                           "(capped at the core count; 0 or 1: "
+                           "in-process; output is byte-identical for "
+                           "any count; requires --simulate-network)")
     scan.add_argument("--shard-size", type=int, default=0,
                       help="stream collect → analyse in contiguous "
                            "domain shards of this size, bounding peak "
@@ -1156,7 +1156,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # surface a closed pipe here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader went away (``scan | head``): point stdout at
+        # devnull so the interpreter's exit-time flush cannot raise
+        # again, and exit quietly like other filters do
+        import os
+
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

@@ -13,8 +13,14 @@ from dataclasses import dataclass, field
 from itertools import zip_longest
 
 from repro import obs
-from repro.core.compliance import ChainComplianceReport, analyze_chain
+from repro.core.compliance import ChainComplianceReport
 from repro.core.report import DatasetReport, aggregate
+from repro.measurement.parallel import (
+    VerdictCache,
+    analyze_observations,
+    chain_key,
+)
+from repro.measurement.parallel_collect import probe_collection
 from repro.net.scanner import (
     CircuitBreaker,
     RetryPolicy,
@@ -31,10 +37,6 @@ from repro.webpki.ecosystem import Ecosystem, VANTAGE_AU, VANTAGE_US
 from repro.x509 import Certificate
 
 _log = obs.get_logger("measurement.campaign")
-
-
-def _chain_key(chain: tuple[Certificate, ...]) -> tuple[bytes, ...]:
-    return tuple(cert.fingerprint for cert in chain)
 
 
 def _merge_union(
@@ -72,20 +74,15 @@ def _merge_union(
         for record in group:
             if record is None or not record.success or not record.chain:
                 continue
-            chain_key = record.chain_key or _chain_key(record.chain)
-            key = (record.domain, chain_key)
+            served = record.chain_key or chain_key(record.chain)
+            key = (record.domain, served)
             if key in seen:
                 continue
             seen.add(key)
-            chain_keys.add(chain_key)
+            chain_keys.add(served)
             observations.append((record.domain, list(record.chain)))
-            all_certs.update(chain_key)
+            all_certs.update(served)
     return chain_keys, observations, all_certs
-
-
-def _chain_key_hex(chain) -> tuple[str, ...]:
-    """The journal form of a chain identity: fingerprint hexes."""
-    return tuple(cert.fingerprint_hex for cert in chain)
 
 
 @dataclass
@@ -187,7 +184,6 @@ class Campaign:
                 breaker_threshold: int | None = None,
                 breaker_probe_interval: float = 300.0,
                 collect_workers: int = 0,
-                oversubscribe: bool = False,
                 status=None,
                 live_view=None) -> CollectionResult:
         """Scan every domain from each vantage and merge (union rule).
@@ -217,16 +213,14 @@ class Campaign:
             breaker is still open when its sweep ends is marked
             *degraded* rather than merged as if complete.
         collect_workers:
-            ``>= 1`` switches collection onto the probe/replay
-            pipeline in :mod:`repro.measurement.parallel_collect`: the
-            pure per-(vantage, domain) handshake outcomes are computed
-            first (``1``: in-process, ``N``: sharded across forked
-            workers, capped at the core count unless
-            ``oversubscribe``), then the per-vantage sweeps *replay*
-            them against the shared clock/RNG/fault plan in the
-            sequential order.  Results — records, journal events, scan
-            metrics — are byte-identical to the default (``0``) direct
-            path for any worker count.
+            Collection runs the probe/replay pipeline in
+            :mod:`repro.measurement.parallel_collect`: the pure
+            per-(vantage, domain) handshake outcomes are probed first
+            (``0``/``1``: in-process, ``N``: across forked workers,
+            capped at the core count), then the per-vantage sweeps
+            *replay* them against the shared clock/RNG/fault plan in
+            the sequential order.  Records, journal events and scan
+            metrics are byte-identical for any worker count.
         status / live_view:
             Optional :class:`~repro.obs.server.RunStatus` /
             :class:`~repro.obs.server.LiveRegistryView` feeding the
@@ -261,28 +255,21 @@ class Campaign:
         with phase_scope("collect"), \
                 tracer.span("campaign.collect", domains=len(domains),
                             vantages=len(vantages)):
-            probes = None
-            if collect_workers:
-                from repro.measurement.parallel_collect import (
-                    probe_collection,
+            with phase_scope("collect.probe"), \
+                    tracer.span("campaign.probe",
+                                units=len(domains) * len(vantages),
+                                workers=collect_workers):
+                probes, probe_stats = probe_collection(
+                    network, vantages, domains,
+                    versions=(TLS12,),
+                    workers=collect_workers,
+                    status=status, live_view=live_view,
                 )
-
-                with phase_scope("collect.probe"), \
-                        tracer.span("campaign.probe",
-                                    units=len(domains) * len(vantages),
-                                    workers=collect_workers):
-                    probes, probe_stats = probe_collection(
-                        network, vantages, domains,
-                        versions=(TLS12,),
-                        workers=collect_workers,
-                        oversubscribe=oversubscribe,
-                        status=status, live_view=live_view,
-                    )
-                _log.info("campaign.probed",
-                          units=probe_stats.units,
-                          unique_flights=probe_stats.unique_flights,
-                          workers=probe_stats.effective_workers,
-                          mode=probe_stats.mode)
+            _log.info("campaign.probed",
+                      units=probe_stats.units,
+                      unique_flights=probe_stats.unique_flights,
+                      workers=probe_stats.effective_workers,
+                      mode=probe_stats.mode)
             for vantage in vantages:
                 with phase_scope(f"collect.scan.{vantage}"), \
                         tracer.span("campaign.scan", vantage=vantage):
@@ -416,7 +403,7 @@ class Campaign:
             if not (tls12.success and tls13.success):
                 continue
             total += 1
-            if _chain_key(tls12.chain) == _chain_key(tls13.chain):
+            if chain_key(tls12.chain) == chain_key(tls13.chain):
                 identical += 1
         return 100.0 * identical / total if total else 0.0
 
@@ -435,7 +422,6 @@ class Campaign:
         workers: int = 0,
         cache=None,
         verdict_store=None,
-        oversubscribe: bool = False,
         status=None,
         live_view=None,
     ) -> tuple[DatasetReport, list[ChainComplianceReport]]:
@@ -445,21 +431,20 @@ class Campaign:
         the network), the four-program union store, and the ecosystem's
         AIA repository.
 
+        Analysis runs the deduplicating pipeline in
+        :mod:`repro.measurement.parallel`: one report per unique chain,
+        ``workers`` ``0``/``1`` in-process, ``N`` across forked workers
+        (capped at the machine's core count); output is byte-identical
+        for any worker count.  ``cache`` (a
+        :class:`~repro.measurement.parallel.VerdictCache`) carries
+        verdicts across phases.
+
         With a ``journal``, every verdict is appended as it is reached,
         and observations whose verdict the journal already holds (a
         resumed run) are reconstructed from it instead of re-analysed —
         the reconstruction is lossless, so the final tables match an
         uninterrupted run byte for byte.  ``snapshot_writer`` (a
         :class:`repro.obs.SnapshotWriter`) is ticked once per chain.
-
-        ``workers``/``cache`` switch the analyse phase onto the
-        deduplicating pipeline in :mod:`repro.measurement.parallel`:
-        ``workers=1`` dedups in-process, ``workers=N`` shards unique
-        chains across forked workers (capped at the machine's core
-        count unless ``oversubscribe``), and a shared
-        :class:`~repro.measurement.parallel.VerdictCache` carries
-        verdicts across phases.  Output is byte-identical to the
-        default sequential loop either way.
 
         ``verdict_store`` (a
         :class:`~repro.measurement.store.VerdictStore`) persists the
@@ -473,74 +458,33 @@ class Campaign:
         :class:`~repro.obs.server.RunStatus` and
         :class:`~repro.obs.server.LiveRegistryView`, both optional)
         feed the embedded telemetry server: progress advances once per
-        observation, and the fork-pool path streams worker snapshot
-        partials into the live view.  Pure read-side telemetry —
-        reports, journals, and merged metrics are byte-identical with
-        or without them.
+        observation, and forked workers stream snapshot partials into
+        the live view.  Pure read-side telemetry — reports, journals,
+        and merged metrics are byte-identical with or without them.
         """
         if observations is None:
             observations = self.ecosystem.observations()
         store = store or self.ecosystem.registry.union()
         fetcher = fetcher if fetcher is not None else self.ecosystem.aia_repo
-        if workers or cache is not None or verdict_store is not None:
-            from repro.measurement.parallel import (
-                VerdictCache,
-                analyze_observations,
-            )
-
-            if verdict_store is not None:
-                if cache is None:
-                    cache = VerdictCache(backing=verdict_store)
-                elif cache.backing is None:
-                    cache.backing = verdict_store
-            with phase_scope("analyze"), \
-                    obs.get_tracer().span("campaign.analyze",
-                                          chains=len(observations),
-                                          workers=workers):
-                reports, stats = analyze_observations(
-                    observations, store=store, fetcher=fetcher,
-                    workers=workers or 1, cache=cache, journal=journal,
-                    snapshot_writer=snapshot_writer,
-                    oversubscribe=oversubscribe,
-                    status=status, live_view=live_view,
-                )
-            if snapshot_writer is not None:
-                snapshot_writer.write_now()
-            _log.info("campaign.analyzed", chains=len(reports),
-                      resumed=stats.resumed)
-            return aggregate(reports), reports
-        resumed = 0
+        if verdict_store is not None:
+            if cache is None:
+                cache = VerdictCache(backing=verdict_store)
+            elif cache.backing is None:
+                cache.backing = verdict_store
         with phase_scope("analyze"), \
                 obs.get_tracer().span("campaign.analyze",
-                                      chains=len(observations)):
-            metrics = obs.get_metrics()
-            throughput = metrics.counter("campaign.chains_analyzed")
-            reports = []
-            for domain, chain in observations:
-                key = _chain_key_hex(chain) if journal is not None else ()
-                recorded = (
-                    journal.verdict_for(domain, key)
-                    if journal is not None else None
-                )
-                if recorded is not None:
-                    report = ChainComplianceReport.from_dict(recorded)
-                    resumed += 1
-                else:
-                    report = analyze_chain(domain, chain, store, fetcher)
-                    if journal is not None:
-                        journal.record_verdict(domain, key, report)
-                reports.append(report)
-                throughput.inc()
-                if status is not None:
-                    status.advance()
-                if snapshot_writer is not None:
-                    snapshot_writer.tick()
-            if resumed:
-                metrics.counter("campaign.chains_resumed").inc(resumed)
+                                      chains=len(observations),
+                                      workers=workers):
+            reports, stats = analyze_observations(
+                observations, store=store, fetcher=fetcher,
+                workers=workers, cache=cache, journal=journal,
+                snapshot_writer=snapshot_writer,
+                status=status, live_view=live_view,
+            )
         if snapshot_writer is not None:
             snapshot_writer.write_now()
         _log.info("campaign.analyzed", chains=len(reports),
-                  resumed=resumed)
+                  resumed=stats.resumed)
         return aggregate(reports), reports
 
 

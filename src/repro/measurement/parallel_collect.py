@@ -15,11 +15,11 @@ pipeline splits collection in two:
    :class:`~repro.net.tls.HandshakeProbe`: the handler's answer
    (negotiated version, decoded chain, wire size, or the deterministic
    protocol failure), computed without touching clock, RNG, or fault
-   plan.  Units are sharded in contiguous spans across fork-started
-   workers exactly like the analyse pipeline
-   (:mod:`repro.measurement.parallel`); chains are decoded once per
-   unique server flight (both vantages almost always share it) and
-   shipped back with fingerprints pre-hashed.
+   plan.  Units run in contiguous spans through the shared executor
+   (:func:`repro.measurement.executor.run_spans`: inline for one
+   worker, forked otherwise); chains are decoded once per unique
+   server flight (both vantages almost always share it) and shipped
+   back with fingerprints pre-hashed.
 2. **Replay phase (sequential, in :meth:`Campaign.collect`).**  The
    ordinary per-vantage sweep runs unchanged, but each
    :meth:`Scanner.scan_domain` replays its probe instead of calling
@@ -31,8 +31,8 @@ pipeline splits collection in two:
 
 Because the replay performs every order-dependent effect in the
 sequential order, ``CollectionResult``, journal events, scan metrics,
-and reports are byte-identical to the sequential path for *any* worker
-count — including under an active :class:`~repro.net.simnet.FaultPlan`
+and reports are byte-identical to a direct per-vantage sweep for *any*
+worker count — including under an active :class:`~repro.net.simnet.FaultPlan`
 (the chaos-parity tests pin this).  The per-vantage 500 KB/s token
 bucket is likewise consumed only in the replay, so the ethics bound
 holds under sharding by construction.  See docs/PERFORMANCE.md,
@@ -41,17 +41,10 @@ holds under sharding by construction.  See docs/PERFORMANCE.md,
 
 from __future__ import annotations
 
-import math
-import multiprocessing
-import threading
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from repro import obs
-from repro.measurement.parallel import (
-    _drain_live_snapshots,
-    resolve_workers,
-)
+from repro.measurement.executor import resolve_workers, run_spans
 from repro.net.simnet import SimulatedNetwork
 from repro.net.tls import (
     DEFAULT_PORT,
@@ -59,10 +52,7 @@ from repro.net.tls import (
     HandshakeProbe,
     probe_handshake,
 )
-from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY, \
-    NullMetricsRegistry
 from repro.obs.probe import phase_scope
-from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.x509 import Certificate
 
 __all__ = [
@@ -81,9 +71,6 @@ ProbeTable = dict[tuple[str, str], HandshakeProbe]
 #: analyses, so spans run larger than the analyse pipeline's to keep
 #: IPC amortised.
 PROBE_SPAN = 512
-
-#: Probed units between partial-snapshot shipments to the live view.
-PROBE_SNAPSHOT_EVERY = 128
 
 
 @dataclass(frozen=True)
@@ -105,20 +92,8 @@ class CollectStats:
 
 
 # ----------------------------------------------------------------------
-# Pool workers
+# Span payloads
 # ----------------------------------------------------------------------
-
-#: Inputs for the current probe pool, installed immediately before the
-#: executor forks so workers inherit them copy-on-write (the network's
-#: host/handler tables are large; pickling them per task would swamp
-#: the probes themselves).
-_PROBE_STATE: tuple | None = None
-
-#: Per-worker-process flight-decode memo; persists across the spans one
-#: worker handles.  Reset in the parent before each fork so object-id
-#: keys never alias flights from an earlier network.
-_PROBE_MEMO: dict[int, tuple[Certificate, ...]] = {}
-
 
 def _encode_span(probes: list[HandshakeProbe | None]) -> tuple:
     """Strip a span's probes for IPC: chains deduped into one list.
@@ -176,47 +151,6 @@ def _probe_one(network: SimulatedNetwork, vantage: str, domain: str,
     return probe
 
 
-def _probe_span(start: int, end: int) -> tuple:
-    """Worker: probe one contiguous span of the unit list.
-
-    Returns ``(payload, metrics_snapshot, spans, decoded)`` with the
-    span's probes encoded for IPC.  Runs under a fresh metrics
-    registry / tracer (when the parent's were live at fork) exactly
-    like the analyse pipeline's workers, so the parent can fold the
-    deltas in and adopt the timing spans; with a live view attached it
-    also ships partial snapshots over the inherited queue so
-    ``/metrics`` moves during the probe phase.
-    """
-    (units, versions, port, network, live_metrics, live_trace,
-     live_queue) = _PROBE_STATE
-    if live_metrics or live_trace:
-        obs.enable(
-            metrics=MetricsRegistry() if live_metrics else NULL_REGISTRY,
-            tracer=Tracer() if live_trace else NULL_TRACER,
-        )
-    metrics = obs.get_metrics()
-    tracer = obs.get_tracer()
-    memo_before = len(_PROBE_MEMO)
-    probes: list[HandshakeProbe | None] = []
-    with phase_scope("collect.probe.worker"), \
-            tracer.span("collect.probe.span", start=start,
-                        units=end - start):
-        for offset, (vantage, domain) in enumerate(units[start:end], 1):
-            probes.append(_probe_one(network, vantage, domain, versions,
-                                     port, _PROBE_MEMO, metrics))
-            if (live_queue is not None and live_metrics
-                    and offset % PROBE_SNAPSHOT_EVERY == 0
-                    and offset < end - start):
-                try:
-                    live_queue.put((f"probe:{start}", metrics.snapshot()))
-                except (OSError, ValueError):
-                    live_queue = None  # pipe gone; keep probing
-    payload = _encode_span(probes)
-    snapshot = metrics.snapshot() if live_metrics else None
-    spans = tracer.roots() if live_trace else None
-    return payload, snapshot, spans, len(_PROBE_MEMO) - memo_before
-
-
 # ----------------------------------------------------------------------
 # The probe phase
 # ----------------------------------------------------------------------
@@ -229,11 +163,10 @@ def probe_collection(
     versions: tuple[str, ...] = (TLS12,),
     port: int = DEFAULT_PORT,
     workers: int = 1,
-    oversubscribe: bool = False,
     status=None,
     live_view=None,
 ) -> tuple[ProbeTable, CollectStats]:
-    """Probe every (vantage, domain) unit, optionally across a pool.
+    """Probe every (vantage, domain) unit through :func:`run_spans`.
 
     The returned table feeds :meth:`Scanner.scan` (via
     :meth:`Campaign.collect`'s ``collect_workers``); its contents are a
@@ -250,75 +183,40 @@ def probe_collection(
     # flight instead of re-decoding it in another worker.
     units = [(vantage, domain) for domain in domains
              for vantage in vantages]
-    effective, mode = resolve_workers(workers, oversubscribe=oversubscribe)
-    metrics = obs.get_metrics()
-    tracer = obs.get_tracer()
+    effective, mode = resolve_workers(workers)
     if status is not None:
         status.begin_phase("collect.probe", len(units))
+    # Flight-decode memo keyed by flight object id; a forked worker
+    # inherits it empty and fills its own copy across its spans.
+    memo: dict[int, tuple[Certificate, ...]] = {}
+
+    def probe_span(start: int, end: int, tick) -> tuple:
+        """``(payload, decoded)``: the span's probes encoded for IPC,
+        and how many flights this span decoded into the memo."""
+        metrics = obs.get_metrics()
+        memo_before = len(memo)
+        probes: list[HandshakeProbe | None] = []
+        with phase_scope("collect.probe.worker"), \
+                obs.get_tracer().span("collect.probe.span", start=start,
+                                      units=end - start):
+            for vantage, domain in units[start:end]:
+                probes.append(_probe_one(network, vantage, domain,
+                                         versions, port, memo, metrics))
+                tick()
+        return _encode_span(probes), len(memo) - memo_before
+
     table: ProbeTable = {}
     decoded = 0
-
-    if mode == "in-process" or not units:
-        memo: dict[int, tuple[Certificate, ...]] = {}
-        for vantage, domain in units:
-            probe = _probe_one(network, vantage, domain, versions, port,
-                               memo, metrics)
+    for start, _, (payload, span_decoded) in run_spans(
+        probe_span, len(units), effective, PROBE_SPAN, live_view
+    ):
+        probes = _decode_span(payload, port)
+        for offset, probe in enumerate(probes):
             if probe is not None:
-                table[(vantage, domain)] = probe
-            if status is not None:
-                status.advance()
-        decoded = len(memo)
-        mode = "in-process"
-        effective = 1
-    else:
-        live_metrics = not isinstance(metrics, NullMetricsRegistry)
-        live_trace = not isinstance(tracer, NullTracer)
-        span = max(1, min(PROBE_SPAN, math.ceil(len(units) / effective)))
-        spans = [(s, min(s + span, len(units)))
-                 for s in range(0, len(units), span)]
-        context = multiprocessing.get_context("fork")
-        live_queue = drainer = None
-        if live_view is not None and live_metrics:
-            live_queue = context.SimpleQueue()
-            drainer = threading.Thread(
-                target=_drain_live_snapshots, args=(live_queue, live_view),
-                name="repro-probe-drain", daemon=True,
-            )
-            drainer.start()
-        global _PROBE_STATE, _PROBE_MEMO
-        _PROBE_MEMO = {}
-        _PROBE_STATE = (units, versions, port, network,
-                        live_metrics, live_trace, live_queue)
-        try:
-            with ProcessPoolExecutor(max_workers=effective,
-                                     mp_context=context) as pool:
-                futures = [pool.submit(_probe_span, s, e)
-                           for s, e in spans]
-                for lane, ((span_start, _), future) in enumerate(
-                    zip(spans, futures), 1
-                ):  # submission order: deterministic
-                    payload, snapshot, worker_spans, span_decoded = (
-                        future.result()
-                    )
-                    probes = _decode_span(payload, port)
-                    for offset, probe in enumerate(probes):
-                        if probe is not None:
-                            table[units[span_start + offset]] = probe
-                    decoded += span_decoded
-                    if snapshot:
-                        metrics.merge_snapshot(snapshot)
-                    if live_view is not None:
-                        live_view.discard(f"probe:{span_start}")
-                    if worker_spans:
-                        tracer.adopt(worker_spans, thread_id=lane)
-                    if status is not None and probes:
-                        status.advance(len(probes))
-        finally:
-            _PROBE_STATE = None
-            if live_queue is not None:
-                live_queue.put(None)
-                drainer.join(timeout=5.0)
-                live_view.clear()
+                table[units[start + offset]] = probe
+        decoded += span_decoded
+        if status is not None:
+            status.advance(len(probes))
 
     stats = CollectStats(
         units=len(units),

@@ -67,6 +67,8 @@ from repro import obs
 from repro.core.compliance import ChainComplianceReport
 from repro.core.report import DatasetReport, aggregate
 from repro.measurement.campaign import Campaign, _merge_union
+from repro.measurement.parallel import VerdictCache
+from repro.measurement.parallel_collect import probe_collection
 from repro.net.scanner import CircuitBreaker, RetryPolicy, Scanner
 from repro.net.tls import TLS12
 from repro.obs.journal import RunJournal
@@ -228,7 +230,6 @@ def run_sharded(
     workers: int = 0,
     cache=None,
     verdict_store=None,
-    oversubscribe: bool = False,
     store: RootStore | None = None,
     fetcher: AIAFetcher | None = None,
     snapshot_writer=None,
@@ -238,11 +239,12 @@ def run_sharded(
     """Stream the campaign shard by shard with bounded peak memory.
 
     Parameters mirror :meth:`Campaign.collect` /
-    :meth:`Campaign.analyze`; ``workers``/``collect_workers`` reuse
-    the probe/replay and verdict-cache fork pools *within* each shard.
-    A shared :class:`~repro.measurement.parallel.VerdictCache` is
-    created when ``workers`` is set and none is passed, so chain-dedup
-    hit rates match an unsharded parallel run.  ``verdict_store`` (a
+    :meth:`Campaign.analyze`; ``workers``/``collect_workers`` size
+    the probe and analyse phases *within* each shard.  A shared
+    :class:`~repro.measurement.parallel.VerdictCache` is created when
+    ``workers`` is set and none is passed, so chain-dedup hit rates
+    match an unsharded run; without one each shard dedups on its own
+    and the cache never outgrows a shard.  ``verdict_store`` (a
     :class:`~repro.measurement.store.VerdictStore`) backs that cache
     persistently, exactly as in :meth:`Campaign.analyze` — shards of a
     warm run resolve their chains from the store instead of
@@ -261,8 +263,6 @@ def run_sharded(
     fetcher = (fetcher if fetcher is not None
                else campaign.ecosystem.aia_repo)
     if cache is None and (workers or verdict_store is not None):
-        from repro.measurement.parallel import VerdictCache
-
         cache = VerdictCache(backing=verdict_store)
     elif cache is not None and verdict_store is not None \
             and cache.backing is None:
@@ -336,23 +336,15 @@ def run_sharded(
             if status is not None:
                 status.begin_phase(f"collect.shard.{index}",
                                    len(shard_domains) * len(vantages))
-            probes = None
-            if collect_workers:
-                from repro.measurement.parallel_collect import (
-                    probe_collection,
-                )
-
-                probes, probe_stats = probe_collection(
-                    network, vantages, shard_domains,
-                    versions=(TLS12,),
-                    workers=collect_workers,
-                    oversubscribe=oversubscribe,
-                    status=None, live_view=live_view,
-                )
-                _log.info("shards.probed", index=index,
-                          units=probe_stats.units,
-                          workers=probe_stats.effective_workers,
-                          mode=probe_stats.mode)
+            probes, probe_stats = probe_collection(
+                network, vantages, shard_domains,
+                versions=(TLS12,), workers=collect_workers,
+                live_view=live_view,
+            )
+            _log.info("shards.probed", index=index,
+                      units=probe_stats.units,
+                      workers=probe_stats.effective_workers,
+                      mode=probe_stats.mode)
             per_vantage = {}
             for vantage in vantages:
 
@@ -407,7 +399,6 @@ def run_sharded(
                 observations, store=store, fetcher=fetcher,
                 journal=journal, snapshot_writer=snapshot_writer,
                 workers=workers, cache=cache,
-                oversubscribe=oversubscribe,
                 status=status, live_view=live_view,
             )
             dataset.merge(shard_report)

@@ -18,6 +18,7 @@ from repro.chainbuilder.differential import (
     ISSUE_OTHER,
     ChainOutcome,
 )
+from repro.measurement.executor import OVERSUBSCRIBE_ENV
 from repro.trust import RootStoreRegistry, StaticAIARepository
 from repro.x509 import utc
 
@@ -37,6 +38,24 @@ def world():
         repo.publish(authority.aia_uri, authority.certificate)
     leaf = h.issue_leaf("diff.example", not_before=utc(2024, 1, 1), days=365)
     return h, leaf, registry, repo
+
+
+@pytest.fixture
+def forced_fork(monkeypatch):
+    """``workers=2`` forks even on a one-core host."""
+    monkeypatch.setenv(OVERSUBSCRIBE_ENV, "1")
+
+
+def spread_observations(world, count=4):
+    h, _leaf, _registry, _repo = world
+    return [
+        (f"span{i}.example",
+         h.chain_for(h.issue_leaf(
+             f"span{i}.example",
+             not_before=utc(2024, 1, 1), days=365,
+         )))
+        for i in range(count)
+    ]
 
 
 class TestHarness:
@@ -114,6 +133,24 @@ class TestHarness:
         assert outcome.result_of("firefox") != "ok"
 
 
+@pytest.mark.usefixtures("forced_fork")
+class TestModeParity:
+    @pytest.mark.parametrize("workers", [1, 2], ids=["in-process", "fork"])
+    def test_outcomes_match_per_chain_evaluation(self, world, workers):
+        h, leaf, registry, repo = world
+        harness = DifferentialHarness(registry, aia_fetcher=repo)
+        observations = spread_observations(world) + [
+            ("diff.example", malform.reverse_intermediates(h.chain_for(leaf))),
+            ("diff.example", [leaf]),
+        ]
+        observations += observations[:2]  # repeats resolve from the run
+        reference = [harness.evaluate(domain, chain, at_time=NOW).to_event()
+                     for domain, chain in observations]
+        report = harness.run(observations, at_time=NOW, workers=workers)
+        assert [o.to_event() for o in report.outcomes] == reference
+
+
+@pytest.mark.usefixtures("forced_fork")
 class TestWorkerSpans:
     """Fork-pool workers trace for real; the parent adopts their spans.
 
@@ -123,26 +160,14 @@ class TestWorkerSpans:
     the analyse pool in ``repro.measurement.parallel`` already fixed.
     """
 
-    def spread_observations(self, world, count=4):
-        h, _leaf, _registry, _repo = world
-        return [
-            (f"span{i}.example",
-             h.chain_for(h.issue_leaf(
-                 f"span{i}.example",
-                 not_before=utc(2024, 1, 1), days=365,
-             )))
-            for i in range(count)
-        ]
-
     def test_worker_spans_surface_in_parent_trace(self, world):
         from repro import obs
 
         _h, _leaf, registry, repo = world
         harness = DifferentialHarness(registry, aia_fetcher=repo)
-        observations = self.spread_observations(world)
+        observations = spread_observations(world)
         with obs.instrumented() as (_, tracer):
-            report = harness.run(observations, at_time=NOW,
-                                 workers=2, oversubscribe=True)
+            report = harness.run(observations, at_time=NOW, workers=2)
             events = tracer.to_chrome_trace()
         assert report.total == len(observations)
         worker_events = [
@@ -160,10 +185,9 @@ class TestWorkerSpans:
 
         _h, _leaf, registry, repo = world
         harness = DifferentialHarness(registry, aia_fetcher=repo)
-        observations = self.spread_observations(world)
+        observations = spread_observations(world)
         with obs.instrumented(tracer=obs.NullTracer()) as (_, tracer):
-            harness.run(observations, at_time=NOW,
-                        workers=2, oversubscribe=True)
+            harness.run(observations, at_time=NOW, workers=2)
         assert tracer.roots() == []
 
 

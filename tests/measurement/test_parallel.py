@@ -1,10 +1,11 @@
-"""The deduplicating pipeline: byte-parity with the sequential loop.
+"""The deduplicating pipeline: byte-parity with a per-observation loop.
 
-Every test here checks the same contract from a different angle: with
-or without workers, with or without a journal, interrupted or not, the
-pipeline's outputs — report list, aggregate tables, journal bytes,
-metrics — are indistinguishable from the plain sequential
-``Campaign.analyze`` loop.
+Every test here checks the same contract from a different angle: in
+process or across a forced fork pool, with or without a journal,
+interrupted or not, the pipeline's outputs — report list, aggregate
+tables, journal bytes, metrics — are indistinguishable from a plain
+``analyze_chain`` loop over the observations, built inside the tests
+so the reference shares no code with the pipeline.
 """
 
 import json
@@ -21,10 +22,23 @@ from repro.measurement.parallel import (
     VerdictCache,
     analyze_observations,
     chain_key,
+    chain_key_hex,
     resolve_workers,
 )
 from repro.obs import RunJournal
 from repro.webpki import Ecosystem, EcosystemConfig
+
+
+@pytest.fixture(autouse=True)
+def forced_fork(monkeypatch):
+    """``workers=2`` forks even on a one-core host; ``workers=1`` stays
+    in-process, so each test picks its mode by worker count."""
+    monkeypatch.setenv(OVERSUBSCRIBE_ENV, "1")
+
+
+#: worker counts selecting the two execution modes under ``forced_fork``
+MODES = pytest.mark.parametrize("workers", [1, 2],
+                                ids=["in-process", "fork"])
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +81,19 @@ def aggregate_json(reports) -> str:
     return json.dumps(aggregate(reports).to_dict(), sort_keys=True)
 
 
+def reference_journal(path, campaign, stream):
+    """Journal bytes of the plain loop: analyse every observation
+    whose (domain, chain) the journal does not hold yet."""
+    union = campaign.ecosystem.registry.union()
+    with RunJournal.create(path, campaign.manifest()) as journal:
+        for domain, chain in stream:
+            key = chain_key_hex(chain)
+            if journal.verdict_for(domain, key) is None:
+                journal.record_verdict(domain, key, analyze_chain(
+                    domain, chain, union, campaign.ecosystem.aia_repo))
+    return path.read_bytes()
+
+
 class TestVerdictCache:
     def test_report_keyed_on_chain_and_store(self, ecosystem, union, stream):
         cache = VerdictCache()
@@ -106,14 +133,10 @@ class TestResolveWorkers:
         assert resolve_workers(0) == (1, "in-process")
         assert resolve_workers(1) == (1, "in-process")
 
-    def test_capped_at_core_count(self):
+    def test_capped_at_core_count(self, monkeypatch):
+        monkeypatch.delenv(OVERSUBSCRIBE_ENV)
         effective, _ = resolve_workers(4096)
         assert effective <= (os.cpu_count() or 1)
-
-    def test_oversubscribe_flag_lifts_the_cap(self):
-        if "fork" not in __import__("multiprocessing").get_all_start_methods():
-            pytest.skip("no fork start method on this platform")
-        assert resolve_workers(3, oversubscribe=True) == (3, "fork-pool")
 
     def test_oversubscribe_env(self, monkeypatch):
         if "fork" not in __import__("multiprocessing").get_all_start_methods():
@@ -142,7 +165,6 @@ class TestPipelineParity:
     ):
         reports, stats = analyze_observations(
             stream, store=union, fetcher=ecosystem.aia_repo, workers=2,
-            oversubscribe=True,
         )
         assert reports == sequential_reports
         assert aggregate_json(reports) == aggregate_json(sequential_reports)
@@ -161,14 +183,28 @@ class TestPipelineParity:
         assert stats.analyzed == 0
         assert stats.cache_hits == len(stream)
 
-    def test_campaign_analyze_delegates(self, ecosystem, stream):
+    def test_campaign_analyze_delegates(self, ecosystem, stream,
+                                        sequential_reports):
         campaign = Campaign(ecosystem)
-        baseline, seq_reports = campaign.analyze(stream)
-        report, reports = campaign.analyze(
-            stream, workers=2, cache=VerdictCache(), oversubscribe=True,
+        for workers in (0, 1, 2):
+            report, reports = campaign.analyze(
+                stream, workers=workers, cache=VerdictCache(),
+            )
+            assert report == aggregate(sequential_reports)
+            assert reports == sequential_reports
+
+    @MODES
+    def test_cache_counts_every_lookup(self, ecosystem, union, stream,
+                                       workers):
+        """One miss per unique chain, one hit per repeat — in both
+        modes (the fork pool used to count no misses at all)."""
+        cache = VerdictCache()
+        _, stats = analyze_observations(
+            stream, store=union, fetcher=ecosystem.aia_repo,
+            workers=workers, cache=cache,
         )
-        assert report == baseline
-        assert reports == seq_reports
+        assert cache.misses == stats.unique_chains == stats.analyzed
+        assert cache.hits == stats.cache_hits == len(stream) - cache.misses
 
 
 class TestCrossDomainRebind:
@@ -197,51 +233,47 @@ class TestJournalParity:
         return report, reports, path.read_bytes()
 
     def test_all_modes_write_identical_journals(
-        self, ecosystem, stream, tmp_path
+        self, ecosystem, stream, tmp_path, sequential_reports
     ):
         campaign = Campaign(ecosystem)
-        _, seq_reports, seq_bytes = self.run_journaled(
-            campaign, stream, tmp_path / "seq.jsonl"
-        )
+        seq_bytes = reference_journal(tmp_path / "seq.jsonl", campaign,
+                                      stream)
         _, in_reports, in_bytes = self.run_journaled(
             campaign, stream, tmp_path / "inproc.jsonl",
             workers=1, cache=VerdictCache(),
         )
         _, pool_reports, pool_bytes = self.run_journaled(
             campaign, stream, tmp_path / "pool.jsonl",
-            workers=2, cache=VerdictCache(), oversubscribe=True,
+            workers=2, cache=VerdictCache(),
         )
         assert in_bytes == seq_bytes
         assert pool_bytes == seq_bytes
-        assert in_reports == seq_reports
-        assert pool_reports == seq_reports
+        assert in_reports == sequential_reports
+        assert pool_reports == sequential_reports
 
     def test_crash_resume_is_byte_identical(
-        self, ecosystem, stream, tmp_path
+        self, ecosystem, stream, tmp_path, sequential_reports
     ):
         campaign = Campaign(ecosystem)
-        _, seq_reports, seq_bytes = self.run_journaled(
-            campaign, stream, tmp_path / "uninterrupted.jsonl",
-            workers=2, cache=VerdictCache(), oversubscribe=True,
-        )
+        seq_bytes = reference_journal(tmp_path / "uninterrupted.jsonl",
+                                      campaign, stream)
+        for workers in (1, 2):
+            path = tmp_path / f"crashed-{workers}.jsonl"
+            with RunJournal.create(path, campaign.manifest()) as journal:
+                campaign.analyze(
+                    stream[:80], journal=journal,
+                    workers=workers, cache=VerdictCache(),
+                )
+            with open(path, "a", encoding="utf-8") as handle:
+                handle.write('{"type":"verdict","domain":"crash.ex')
 
-        path = tmp_path / "crashed.jsonl"
-        with RunJournal.create(path, campaign.manifest()) as journal:
-            campaign.analyze(
-                stream[:80], journal=journal,
-                workers=2, cache=VerdictCache(), oversubscribe=True,
-            )
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"type":"verdict","domain":"crash.ex')
-
-        with RunJournal.open(path, campaign.manifest()) as journal:
-            _, reports = campaign.analyze(
-                stream, journal=journal,
-                workers=2, cache=VerdictCache(), oversubscribe=True,
-            )
-        assert reports == seq_reports
-        assert path.read_bytes() == seq_bytes
-
+            with RunJournal.open(path, campaign.manifest()) as journal:
+                _, reports = campaign.analyze(
+                    stream, journal=journal,
+                    workers=workers, cache=VerdictCache(),
+                )
+            assert reports == sequential_reports
+            assert path.read_bytes() == seq_bytes
     def test_rerun_appends_nothing(self, ecosystem, stream, tmp_path):
         campaign = Campaign(ecosystem)
         path = tmp_path / "run.jsonl"
@@ -279,7 +311,6 @@ class TestMetricsMerge:
         with obs.instrumented() as (registry, _):
             analyze_observations(
                 stream, store=union, fetcher=ecosystem.aia_repo, workers=2,
-                oversubscribe=True,
             )
             pooled = self.totals(registry)
         obs.disable()
@@ -300,7 +331,7 @@ class TestPhaseHistogramMerge:
             obs.catalogue.preregister(registry)
             _, stats = analyze_observations(
                 stream, store=union, fetcher=ecosystem.aia_repo,
-                workers=2, oversubscribe=True,
+                workers=2,
             )
             snapshot = registry.snapshot()
         assert stats.mode == "fork-pool"
@@ -354,7 +385,7 @@ class TestWorkerSpans:
         with obs.instrumented() as (_, tracer):
             _, stats = analyze_observations(
                 stream, store=union, fetcher=ecosystem.aia_repo,
-                workers=2, oversubscribe=True,
+                workers=2,
             )
             events = tracer.to_chrome_trace()
         assert stats.mode == "fork-pool"
@@ -372,7 +403,7 @@ class TestWorkerSpans:
         with obs.instrumented() as (_, tracer):
             analyze_observations(
                 stream, store=union, fetcher=ecosystem.aia_repo,
-                workers=2, oversubscribe=True,
+                workers=2,
             )
             roots = [s for s in tracer.roots() if s.name == "analyze.span"]
         assert roots
@@ -384,7 +415,7 @@ class TestWorkerSpans:
         with obs.instrumented(tracer=obs.NullTracer()) as (_, tracer):
             analyze_observations(
                 stream, store=union, fetcher=ecosystem.aia_repo,
-                workers=2, oversubscribe=True,
+                workers=2,
             )
         assert tracer.roots() == []
 
@@ -403,7 +434,7 @@ class TestLiveView:
             view = LiveRegistryView(registry)
             reports, stats = analyze_observations(
                 stream, store=union, fetcher=ecosystem.aia_repo,
-                workers=2, oversubscribe=True,
+                workers=2,
                 status=status, live_view=view,
             )
         return reports, stats, status, view

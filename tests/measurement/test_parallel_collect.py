@@ -1,25 +1,27 @@
-"""The probe/replay collection pipeline: byte-parity with the direct
+"""The probe/replay collection pipeline: byte-parity with a direct
 scan loop.
 
-Same contract-from-every-angle structure as ``test_parallel``: with or
-without a fork pool, with or without a journal, with or without an
-active fault plan, collection through ``collect_workers`` must be
+Same contract-from-every-angle structure as ``test_parallel``: in
+process or across a forced fork pool, with or without a journal, with
+or without an active fault plan, ``Campaign.collect`` must be
 indistinguishable — records, union observations, journal bytes,
-degraded-vantage sets, scan metrics — from the direct sequential
-sweep, because the replay performs every order-dependent effect (RNG
-draw, clock advance, fault consultation, rate limiting, breaker
-transition) in the sequential order and only the pure handshake
-outcome comes from the probe.
+degraded-vantage sets, scan metrics — from a direct per-vantage
+``Scanner.scan`` sweep built inside these tests, because the replay
+performs every order-dependent effect (RNG draw, clock advance, fault
+consultation, rate limiting, breaker transition) in the sequential
+order and only the pure handshake outcome comes from the probe.
 """
 
 import pytest
 
 from repro import obs
 from repro.measurement import Campaign
+from repro.measurement.campaign import CollectionResult, _merge_union
 from repro.measurement.parallel import OVERSUBSCRIBE_ENV
 from repro.measurement.parallel_collect import probe_collection
 from repro.net.scanner import (
     RATE_LIMIT_BYTES_PER_SECOND,
+    CircuitBreaker,
     RetryPolicy,
     Scanner,
 )
@@ -42,9 +44,69 @@ def domains(ecosystem):
     return [d.domain for d in ecosystem.deployments]
 
 
+@pytest.fixture
+def forced_fork(monkeypatch):
+    """``collect_workers=4`` forks even on a one-core host;
+    ``collect_workers=1`` stays in-process."""
+    monkeypatch.setenv(OVERSUBSCRIBE_ENV, "1")
+
+
 def fresh_campaign(ecosystem):
     """A campaign on its own fresh, identically-seeded network."""
     return Campaign(ecosystem, network=ecosystem.install())
+
+
+def direct_collect(campaign, *, journal=None, retry_policy=None,
+                   breaker_threshold=None):
+    """The reference: a direct per-vantage sweep that exchanges with
+    every handler live, journaled the way a campaign journals."""
+    network = campaign.network
+    domains = [d.domain for d in campaign.ecosystem.deployments]
+    per_vantage, degraded = {}, {}
+    for vantage in VANTAGES:
+        breaker = (CircuitBreaker(network.clock, vantage,
+                                  threshold=breaker_threshold)
+                   if breaker_threshold else None)
+        scanner = Scanner(network, vantage, retry_policy=retry_policy,
+                          breaker=breaker)
+
+        def observe(record):
+            if journal is not None:
+                journal.record(
+                    "scan", domain=record.domain, vantage=record.vantage,
+                    success=record.success, tls_version=record.tls_version,
+                    error=str(record.error) if record.error else None,
+                    wire_bytes=record.wire_bytes, attempts=record.attempts,
+                    duration=record.duration,
+                )
+
+        records = scanner.scan(domains, versions=(TLS12,),
+                               progress=observe)
+        per_vantage[vantage] = records
+        if breaker is not None and breaker.tripped:
+            degraded[vantage] = "breaker_open"
+        elif records and not any(r.success for r in records):
+            degraded[vantage] = "no_successful_scans"
+        if vantage in degraded and journal is not None:
+            journal.record_degradation(vantage, degraded[vantage])
+    chain_keys, observations, all_certs = _merge_union(VANTAGES,
+                                                       per_vantage)
+    if journal is not None:
+        journal.record(
+            "collection", domains=len(domains),
+            observations=len(observations),
+            unique_chains=len(chain_keys),
+            unique_certificates=len(all_certs),
+            degraded=bool(degraded), degraded_vantages=degraded,
+        )
+    return CollectionResult(
+        per_vantage=per_vantage, observations=observations,
+        reachable_counts={v: sum(1 for r in records if r.success)
+                          for v, records in per_vantage.items()},
+        unique_chains=len(chain_keys),
+        unique_certificates=len(all_certs),
+        degraded_vantages=degraded,
+    )
 
 
 class TestProbeEquivalence:
@@ -110,14 +172,13 @@ class TestProbeEquivalence:
 
 class TestProbeCollection:
     def test_fork_pool_table_matches_in_process(self, ecosystem,
-                                                domains):
+                                                domains, forced_fork):
         network = ecosystem.install()
         table_seq, stats_seq = probe_collection(
             network, VANTAGES, domains, workers=1,
         )
         table_fork, stats_fork = probe_collection(
             ecosystem.install(), VANTAGES, domains, workers=4,
-            oversubscribe=True,
         )
         assert stats_seq.mode == "in-process"
         assert stats_fork.mode == "fork-pool"
@@ -154,16 +215,16 @@ class TestProbeCollection:
         assert stats.effective_workers == 2
 
 
+@pytest.mark.usefixtures("forced_fork")
 class TestCollectParity:
     """collect_workers=N is byte-identical to the direct sweep."""
 
     def collect(self, ecosystem, *, workers=None, journal=None):
         campaign = fresh_campaign(ecosystem)
-        kwargs = {"journal": journal}
-        if workers is not None:
-            kwargs["collect_workers"] = workers
-            kwargs["oversubscribe"] = workers > 1
-        return campaign.collect(**kwargs), campaign
+        if workers is None:
+            return direct_collect(campaign, journal=journal), campaign
+        return (campaign.collect(journal=journal, collect_workers=workers),
+                campaign)
 
     def assert_same_result(self, left, right):
         assert left.per_vantage == right.per_vantage
@@ -188,13 +249,9 @@ class TestCollectParity:
         paths = {}
         for tag, workers in (("direct", None), ("one", 1), ("fork", 4)):
             path = tmp_path / f"{tag}.jsonl"
-            campaign = fresh_campaign(ecosystem)
-            kwargs = {}
-            if workers is not None:
-                kwargs = {"collect_workers": workers,
-                          "oversubscribe": workers > 1}
-            with RunJournal.open(path, campaign.manifest()) as journal:
-                campaign.collect(journal=journal, **kwargs)
+            with RunJournal.open(path, Campaign(ecosystem).manifest()
+                                 ) as journal:
+                self.collect(ecosystem, workers=workers, journal=journal)
             paths[tag] = path.read_bytes()
         assert paths["one"] == paths["direct"]
         assert paths["fork"] == paths["direct"]
@@ -229,7 +286,7 @@ class TestCollectParity:
         it."""
         network = ecosystem.install()
         table, stats = probe_collection(network, VANTAGES, domains,
-                                        workers=4, oversubscribe=True)
+                                        workers=4)
         assert stats.mode == "fork-pool"
         scanner = Scanner(network, VANTAGE_US)
         scanner.scan(domains, probes=table)
@@ -239,8 +296,9 @@ class TestCollectParity:
         assert observed <= cap + cap / max(network.clock.now(), 1e-9)
 
 
+@pytest.mark.usefixtures("forced_fork")
 class TestChaosParity:
-    """Sequential vs collect_workers=N under an active FaultPlan:
+    """Direct sweep vs collect_workers=N under an active FaultPlan:
     byte-identical journals and identical degraded-vantage sets."""
 
     def faulted_collect(self, ecosystem, tmp_path, tag, *,
@@ -257,17 +315,14 @@ class TestChaosParity:
             plan.vantage_outage(VANTAGE_AU, 0.0)
         network.set_fault_plan(plan)
         path = tmp_path / f"chaos-{tag}.jsonl"
-        kwargs = {}
-        if workers is not None:
-            kwargs = {"collect_workers": workers,
-                      "oversubscribe": workers > 1}
+        kwargs = {"retry_policy": RetryPolicy(retries=2, base_delay=0.05),
+                  "breaker_threshold": 5}
         with RunJournal.open(path, campaign.manifest()) as journal:
-            result = campaign.collect(
-                journal=journal,
-                retry_policy=RetryPolicy(retries=2, base_delay=0.05),
-                breaker_threshold=5,
-                **kwargs,
-            )
+            if workers is None:
+                result = direct_collect(campaign, journal=journal, **kwargs)
+            else:
+                result = campaign.collect(journal=journal,
+                                          collect_workers=workers, **kwargs)
         return result, path.read_bytes(), dict(plan.injected)
 
     def test_fault_plan_journal_bytes_identical(self, ecosystem,

@@ -22,7 +22,11 @@ from repro.measurement import (
     VerdictStore,
     check_store,
 )
-from repro.measurement.parallel import analyze_observations, chain_key
+from repro.measurement.parallel import (
+    OVERSUBSCRIBE_ENV,
+    analyze_observations,
+    chain_key,
+)
 from repro.measurement.store import SCHEMA_VERSION
 from repro.obs import RunJournal
 from repro.webpki import Ecosystem, EcosystemConfig
@@ -286,7 +290,8 @@ class TestWarmStartParity:
         assert stats.cache_hits == len(stream)
 
     def test_warm_fork_pool_matches_cold(self, ecosystem, union, stream,
-                                         tmp_path):
+                                         tmp_path, monkeypatch):
+        monkeypatch.setenv(OVERSUBSCRIBE_ENV, "1")
         cold, _ = analyze_observations(
             stream, store=union, fetcher=ecosystem.aia_repo,
         )
@@ -298,11 +303,35 @@ class TestWarmStartParity:
         with VerdictStore(tmp_path / "vs") as store:
             warm, stats = analyze_observations(
                 stream, store=union, fetcher=ecosystem.aia_repo,
-                workers=2, oversubscribe=True,
-                cache=VerdictCache(backing=store),
+                workers=2, cache=VerdictCache(backing=store),
             )
+        assert stats.mode == "fork-pool"
         assert stats.analyzed == 0
         assert warm == cold
+
+    def test_cold_accounting_matches_across_modes(
+        self, ecosystem, union, stream, tmp_path, monkeypatch
+    ):
+        """Cache and store hit/miss/write counts do not depend on the
+        execution mode: one miss and one write per unique chain."""
+        monkeypatch.setenv(OVERSUBSCRIBE_ENV, "1")
+        counts = {}
+        for workers in (1, 2):
+            with VerdictStore(tmp_path / f"vs-{workers}") as store:
+                cache = VerdictCache(backing=store)
+                _, stats = analyze_observations(
+                    stream, store=union, fetcher=ecosystem.aia_repo,
+                    workers=workers, cache=cache,
+                )
+                totals = store.stats()
+            counts[stats.mode] = (
+                cache.hits, cache.misses,
+                totals["hits"], totals["misses"], totals["writes"],
+            )
+        assert counts["in-process"] == counts["fork-pool"]
+        _, misses, store_hits, store_misses, writes = counts["fork-pool"]
+        assert misses == store_misses == writes == stats.unique_chains
+        assert store_hits == 0
 
     def test_resume_after_store_truncation(self, ecosystem, stream,
                                            tmp_path):
@@ -329,15 +358,32 @@ class TestWarmStartParity:
 
 
 class TestDifferentialWarmStart:
-    def run(self, ecosystem, store):
+    def run(self, ecosystem, store, workers=1):
         harness = DifferentialHarness(
             ecosystem.registry, aia_fetcher=ecosystem.aia_repo
         )
         report = harness.run(
             ecosystem.observations(), at_time=ecosystem.config.now,
-            verdict_store=store,
+            verdict_store=store, workers=workers,
         )
         return [outcome.to_event() for outcome in report.outcomes]
+
+    def test_fork_cold_and_warm_match_in_process(self, ecosystem, tmp_path,
+                                                 monkeypatch):
+        monkeypatch.setenv(OVERSUBSCRIBE_ENV, "1")
+        runs = {}
+        for workers in (1, 2):
+            events, counts = [], []
+            for _ in ("cold", "warm"):
+                with VerdictStore(tmp_path / f"vs-{workers}") as store:
+                    events.append(json.dumps(
+                        self.run(ecosystem, store, workers), sort_keys=True))
+                    totals = store.stats()
+                counts.append(tuple(totals[name] for name in
+                                    ("hits", "misses", "writes")))
+            runs[workers] = (*events, *counts)
+        assert runs[1] == runs[2]
+        assert runs[1][0] == runs[1][1]
 
     def test_warm_outcomes_match_cold(self, ecosystem, tmp_path):
         with VerdictStore(tmp_path / "vs") as store:

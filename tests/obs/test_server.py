@@ -358,55 +358,62 @@ class TestParseServeAddress:
 class TestMidRunScrapes:
     """The acceptance-criteria scrapes: live, mid-phase, valid."""
 
-    def test_metrics_valid_during_fork_pool_analyse(self):
-        """Scrapes during the pooled analyse phase parse as OpenMetrics
-        and the run's results are unaffected by being watched."""
+    def test_metrics_valid_during_fork_pool_analyse(self, monkeypatch):
+        """Scrapes during the analyse phase — in-process and across a
+        forced fork pool — parse as OpenMetrics, and the run's results
+        are unaffected by being watched."""
         from repro import obs
-        from repro.measurement.parallel import analyze_observations
+        from repro.core import analyze_chain
+        from repro.measurement.parallel import (
+            OVERSUBSCRIBE_ENV,
+            analyze_observations,
+        )
         from repro.obs.server import LiveRegistryView
 
+        monkeypatch.setenv(OVERSUBSCRIBE_ENV, "1")
         ecosystem = Ecosystem.generate(
             EcosystemConfig(n_domains=140, seed=7)
         )
         union = ecosystem.registry.union()
         base = ecosystem.observations()
         stream = base + [(d, list(c)) for d, c in base]
+        baseline = [analyze_chain(domain, chain, union, ecosystem.aia_repo)
+                    for domain, chain in stream]
 
-        baseline = [r for r, _ in [analyze_observations(
-            stream, store=union, fetcher=ecosystem.aia_repo, workers=1,
-        )]][0]
+        for workers, mode in ((1, "in-process"), (4, "fork-pool")):
+            with obs.instrumented() as (registry, _):
+                view = LiveRegistryView(registry)
+                status = RunStatus()
+                outcome = {}
 
-        with obs.instrumented() as (registry, _):
-            view = LiveRegistryView(registry)
-            status = RunStatus()
-            outcome = {}
+                def run():
+                    outcome["reports"], outcome["stats"] = (
+                        analyze_observations(
+                            stream, store=union,
+                            fetcher=ecosystem.aia_repo, workers=workers,
+                            status=status, live_view=view,
+                        )
+                    )
 
-            def run():
-                outcome["reports"], outcome["stats"] = analyze_observations(
-                    stream, store=union, fetcher=ecosystem.aia_repo,
-                    workers=4, oversubscribe=True,
-                    status=status, live_view=view,
-                )
-
-            thread = threading.Thread(target=run)
-            with TelemetryServer(registry, status=status,
-                                 live_view=view) as server:
-                thread.start()
-                bodies = []
-                while thread.is_alive():
+                thread = threading.Thread(target=run)
+                with TelemetryServer(registry, status=status,
+                                     live_view=view) as server:
+                    thread.start()
+                    bodies = []
+                    while thread.is_alive():
+                        bodies.append(get(server.url, "/metrics"))
+                    thread.join()
                     bodies.append(get(server.url, "/metrics"))
-                thread.join()
-                bodies.append(get(server.url, "/metrics"))
-        assert outcome["stats"].mode == "fork-pool"
-        assert outcome["reports"] == baseline
-        for code, headers, body in bodies:
-            assert code == 200
-            assert headers["Content-Type"] == OPENMETRICS_CONTENT_TYPE
-            text = body.decode("utf-8")
-            assert text.endswith("# EOF\n")
-            for line in text.splitlines():
-                if not line.startswith("#"):
-                    float(line.rsplit(" ", 1)[1])  # every sample parses
+            assert outcome["stats"].mode == mode
+            assert outcome["reports"] == baseline
+            for code, headers, body in bodies:
+                assert code == 200
+                assert headers["Content-Type"] == OPENMETRICS_CONTENT_TYPE
+                text = body.decode("utf-8")
+                assert text.endswith("# EOF\n")
+                for line in text.splitlines():
+                    if not line.startswith("#"):
+                        float(line.rsplit(" ", 1)[1])  # every sample parses
 
     def test_healthz_flips_to_503_under_fault_plan(self):
         """An injected outage pushes the error ratio past its SLO."""

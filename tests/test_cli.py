@@ -477,6 +477,36 @@ class TestScanWorkers:
         assert par.read_bytes() == seq.read_bytes()
 
 
+class TestClosedPipe:
+    def test_reader_closing_early_exits_without_traceback(self):
+        """``repro-chain scan | head``: the reader goes away before the
+        scan prints, and the CLI must exit quietly instead of dumping a
+        BrokenPipeError traceback."""
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        import repro
+
+        env = dict(os.environ)
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "scan",
+             "--domains", "300"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()  # the reader is gone before any output
+        stderr = proc.stderr.read().decode("utf-8", "replace")
+        proc.wait(timeout=120)
+        proc.stderr.close()
+        assert "Traceback" not in stderr
+        assert "BrokenPipeError" not in stderr
+        assert proc.returncode == 1  # the write really hit the closed pipe
+
+
 class TestDifferentialWorkers:
     def test_workers_use_cold_cache_model(self, capsys):
         assert main(["differential", "--domains", "120", "--seed", "6",

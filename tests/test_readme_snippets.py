@@ -84,7 +84,8 @@ def test_report_snippet(tmp_path):
 
 def test_parallel_collect_snippet(tmp_path, monkeypatch):
     """The README's `--collect-workers 4 --workers 4` line, plus the
-    byte-identical-to-sequential claim made right under it."""
+    byte-identical-to-the-in-process-default claim made right under
+    it."""
     from repro.cli import main
     from repro.measurement.parallel import OVERSUBSCRIBE_ENV
 
@@ -95,12 +96,12 @@ def test_parallel_collect_snippet(tmp_path, monkeypatch):
         "--collect-workers", "4", "--workers", "4",
         "--journal", str(parallel),
     ]) == 0
-    sequential = tmp_path / "sequential.jsonl"
+    in_process = tmp_path / "in-process.jsonl"
     assert main([
         "scan", "--domains", "60", "--seed", "833", "--simulate-network",
-        "--journal", str(sequential),
+        "--journal", str(in_process),
     ]) == 0
-    assert parallel.read_bytes() == sequential.read_bytes()
+    assert parallel.read_bytes() == in_process.read_bytes()
 
 
 def test_sharded_scan_snippet(tmp_path):
