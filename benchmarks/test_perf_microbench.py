@@ -588,7 +588,6 @@ def test_perf_live_overhead_snapshot(tmp_path):
     import threading
     import urllib.request
 
-    from repro.cli import _StatusProgress
     from repro.measurement import Campaign
     from repro.webpki import Ecosystem, EcosystemConfig
 
@@ -610,7 +609,7 @@ def test_perf_live_overhead_snapshot(tmp_path):
         campaign = served_campaign if served else plain_campaign
         with obs.instrumented() as (registry, _):
             obs.catalogue.preregister(registry)
-            server = scraper = None
+            server = scraper = status = None
             stop = threading.Event()
             if served:
                 status = obs.RunStatus()
@@ -631,19 +630,11 @@ def test_perf_live_overhead_snapshot(tmp_path):
 
                 scraper = threading.Thread(target=scrape, daemon=True)
                 scraper.start()
-
-                def progress_factory(vantage, total):
-                    status.begin_phase(f"collect[{vantage}]", total)
-                    return _StatusProgress(status)
-            else:
-                progress_factory = None
             gc.collect()
             gc.disable()
             try:
                 start = time.process_time()
-                result = campaign.collect(
-                    progress_factory=progress_factory
-                )
+                result = campaign.collect(status=status)
                 elapsed = time.process_time() - start
             finally:
                 gc.enable()

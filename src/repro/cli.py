@@ -9,7 +9,7 @@ Subcommands mirror the library's main workflows::
     repro-chain capabilities                   # Table 9 (live harness)
     repro-chain differential --domains 2000    # §5.2 summary
     repro-chain stats metrics.json             # render a metrics snapshot
-    repro-chain save-corpus corpus.jsonl       # archive observations
+    repro-chain scan --output corpus.jsonl     # archive observations
     repro-chain report run.jsonl               # aggregate a run report
     repro-chain diff-runs base.json run.jsonl  # cross-run regression gate
     repro-chain watch run.jsonl                # live dashboard over a run
@@ -40,63 +40,24 @@ import sys
 from repro.x509 import load_pem_bundle, to_pem_bundle
 
 
-def _render_reachability(snapshot: dict) -> list[str]:
-    """Per-vantage ``reachable/attempted`` lines from a metrics snapshot.
-
-    ``attempted`` counts finished *scans* — successes plus failed scans
-    (summed across failure kinds) — not ``scan.attempts``, which counts
-    every handshake attempt and so over-counts whenever retries fire.
-    """
-    def by_vantage(family: str) -> dict[str, float]:
-        totals: dict[str, float] = {}
-        for series in snapshot.get(family, {}).get("series", []):
-            vantage = series["labels"].get("vantage")
-            if vantage is not None:
-                totals[vantage] = totals.get(vantage, 0.0) + series["value"]
-        return totals
-
-    successes = by_vantage("scan.success")
-    failures = by_vantage("scan.failure")
-    lines = []
-    for vantage in sorted(set(successes) | set(failures)):
-        reached = successes.get(vantage, 0.0)
-        attempted = reached + failures.get(vantage, 0.0)
-        share = 100.0 * reached / attempted if attempted else 0.0
-        lines.append(
-            f"vantage {vantage:<4} reachable {int(reached):,}/"
-            f"{int(attempted):,} ({share:.1f}%)"
-        )
-    return lines
-
-
-class _StatusProgress:
-    """Fans one collect progress stream into a RunStatus (for the
-    telemetry server's ``/progress``) and an optional inner renderer
-    (the ``--progress`` line)."""
-
-    def __init__(self, status, inner=None) -> None:
-        self.status = status
-        self.inner = inner
-
-    def update(self, *, ok: bool = True) -> None:
-        self.status.advance(ok=ok)
-        if self.inner is not None:
-            self.inner.update(ok=ok)
-
-    def finish(self) -> None:
-        if self.inner is not None:
-            self.inner.finish()
-
-
 def _cmd_scan(args: argparse.Namespace) -> int:
+    from functools import partial
+
     from repro import obs
     from repro.errors import JournalError
     from repro.measurement import (
         Campaign, TableContext, render_table_3, render_table_5,
         render_table_7,
     )
+    from repro.measurement.dataset import (
+        save_observations, write_observations,
+    )
     from repro.webpki import Ecosystem, EcosystemConfig
 
+    if args.shard_size and not args.simulate_network:
+        print("repro-chain scan: --shard-size requires "
+              "--simulate-network", file=sys.stderr)
+        return 2
     health_monitor = None
     if args.health:
         rules = []
@@ -188,14 +149,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             # flushed eagerly so a parallel scraper (CI, `repro-chain
             # watch`) can read the ephemeral port before the scan ends
             print(f"serving telemetry on {server.url}", flush=True)
-            inner_factory = progress_factory
-
-            def progress_factory(vantage: str, total: int,
-                                 _inner=inner_factory):
-                status.begin_phase(f"collect[{vantage}]", total)
-                inner = (_inner(vantage, total)
-                         if _inner is not None else None)
-                return _StatusProgress(status, inner)
         retry_policy = None
         if args.retries:
             from repro.net import RetryPolicy
@@ -203,86 +156,59 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             retry_policy = RetryPolicy(
                 retries=args.retries, base_delay=args.backoff
             )
+        output = None
         try:
             cache = None
             if args.workers or verdict_store is not None:
                 from repro.measurement import VerdictCache
 
                 cache = VerdictCache(backing=verdict_store)
-            if args.shard_size:
-                if not args.simulate_network:
-                    print("repro-chain scan: --shard-size requires "
-                          "--simulate-network", file=sys.stderr)
-                    return 2
+            if args.simulate_network:
+                observation_sink = None
                 if args.output:
-                    print("repro-chain scan: --output needs the full "
-                          "observation list, which a sharded run "
-                          "releases shard by shard; drop --shard-size "
-                          "to export observations", file=sys.stderr)
-                    return 2
-                if args.progress:
-                    print("note: --progress is per-vantage; a sharded "
-                          "run reports progress through its "
-                          "collect.shard.K/analyze.shard.K status "
-                          "phases instead", file=sys.stderr)
-                sharded = campaign.run_sharded(
-                    args.shard_size,
-                    journal=journal, retry_policy=retry_policy,
+                    output = open(args.output, "w", encoding="utf-8")
+                    observation_sink = partial(write_observations, output)
+                run = campaign.run_sharded(
+                    args.shard_size or len(ecosystem.deployments),
+                    journal=journal, progress_factory=progress_factory,
+                    retry_policy=retry_policy,
                     breaker_threshold=args.breaker_threshold or None,
                     collect_workers=args.collect_workers,
                     workers=args.workers, cache=cache,
                     snapshot_writer=snapshot_writer,
                     status=status, live_view=live_view,
+                    observation_sink=observation_sink,
                 )
-                report = sharded.report
+                report = run.report
+                observation_count = run.total_observations
                 # reachability from the result, not the metrics
                 # snapshot: resumed shards fold from the journal
                 # without re-scanning, so the registry only covers
                 # the shards this process actually ran
-                for vantage in sorted(sharded.attempted_counts):
-                    reached = sharded.reachable_counts.get(vantage, 0)
-                    attempts = sharded.attempted_counts[vantage]
+                for vantage in sorted(run.attempted_counts):
+                    reached = run.reachable_counts.get(vantage, 0)
+                    attempts = run.attempted_counts[vantage]
                     share = (100.0 * reached / attempts
                              if attempts else 0.0)
                     print(f"vantage {vantage:<4} reachable "
                           f"{reached:,}/{attempts:,} ({share:.1f}%)")
                 for vantage, reason in sorted(
-                    sharded.degraded_vantages.items()
+                    run.degraded_vantages.items()
                 ):
                     if status is not None:
                         status.mark_degraded(vantage, reason)
                     print(f"warning: vantage {vantage} degraded "
                           f"({reason}); union dataset is partial",
                           file=sys.stderr)
-                resumed_note = (
-                    f" ({sharded.resumed_shards} resumed from journal)"
-                    if sharded.resumed_shards else ""
-                )
-                print(f"shards: {len(sharded.shards)} × "
-                      f"{args.shard_size:,} domains{resumed_note}")
-            else:
-                if args.simulate_network:
-                    collection = campaign.collect(
-                        journal=journal,
-                        progress_factory=progress_factory,
-                        retry_policy=retry_policy,
-                        breaker_threshold=args.breaker_threshold or None,
-                        collect_workers=args.collect_workers,
-                        status=status, live_view=live_view,
+                if args.shard_size:
+                    resumed_note = (
+                        f" ({run.resumed_shards} resumed from journal)"
+                        if run.resumed_shards else ""
                     )
-                    observations = collection.observations
-                    for line in _render_reachability(registry.snapshot()):
-                        print(line)
-                    for vantage, reason in sorted(
-                        collection.degraded_vantages.items()
-                    ):
-                        if status is not None:
-                            status.mark_degraded(vantage, reason)
-                        print(f"warning: vantage {vantage} degraded "
-                              f"({reason}); union dataset is partial",
-                              file=sys.stderr)
-                else:
-                    observations = ecosystem.observations()
+                    print(f"shards: {len(run.shards)} × "
+                          f"{args.shard_size:,} domains{resumed_note}")
+            else:
+                observations = ecosystem.observations()
                 if status is not None:
                     status.begin_phase("analyze", len(observations))
                 report, _ = campaign.analyze(
@@ -291,9 +217,15 @@ def _cmd_scan(args: argparse.Namespace) -> int:
                     workers=args.workers, cache=cache,
                     status=status, live_view=live_view,
                 )
+                if args.output:
+                    observation_count = save_observations(
+                        args.output, observations
+                    )
             if status is not None:
                 status.finish()
         finally:
+            if output is not None:
+                output.close()
             if journal is not None:
                 journal.close()
             if verdict_store is not None:
@@ -321,10 +253,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             print(f"\n== {title} ==")
             print(renderer(ctx))
         if args.output:
-            from repro.measurement.dataset import save_observations
-
-            count = save_observations(args.output, observations)
-            print(f"\nwrote {count:,} observations to {args.output}")
+            print(f"\nwrote {observation_count:,} observations to "
+                  f"{args.output}")
         if journal is not None:
             print(f"wrote {journal.events_written:,} journal events "
                   f"to {args.journal}")
@@ -936,7 +866,8 @@ def build_parser() -> argparse.ArgumentParser:
                            "refreshes (default: 5)")
     scan.add_argument("--progress", action="store_true",
                       help="render a live single-line progress bar "
-                           "per vantage (requires --simulate-network)")
+                           "per vantage and shard (requires "
+                           "--simulate-network)")
     scan.add_argument("--retries", type=int, default=0,
                       help="retry transient scan failures up to this "
                            "many times with exponential backoff "
@@ -964,8 +895,8 @@ def build_parser() -> argparse.ArgumentParser:
                            "domain shards of this size, bounding peak "
                            "memory by the shard instead of the corpus; "
                            "the report and tables are byte-identical "
-                           "to an unsharded run for any size; requires "
-                           "--simulate-network (0: unsharded)")
+                           "for any size; requires --simulate-network "
+                           "(0: one shard of the whole population)")
     scan.add_argument("--journal-flush-every", type=int, default=64,
                       help="buffer this many journal records between "
                            "flushes (1: flush per record; default: 64)")

@@ -70,24 +70,11 @@ class RelationEvidence:
 # chain — in a deduplicated corpus the same (issuer, subject) pairs
 # recur across thousands of chains (shared intermediates and roots).
 # The memo is opt-in: plain library use stays allocation-free, and the
-# analysis pipeline enables it per process (workers enable their own).
+# analysis pipeline scopes it with :func:`memoized` in every process.
 # ----------------------------------------------------------------------
 
 _MEMO_LIMIT = 1 << 16
 _memo: dict[tuple[bytes, bytes, "RelationPolicy"], "RelationEvidence"] | None = None
-
-
-def enable_memo() -> None:
-    """Turn on process-wide memoisation of :func:`evaluate`."""
-    global _memo
-    if _memo is None:
-        _memo = {}
-
-
-def disable_memo() -> None:
-    """Turn memoisation off and drop any cached entries."""
-    global _memo
-    _memo = None
 
 
 @contextmanager

@@ -289,7 +289,9 @@ class ChainTopology:
         return len(path) == len(self.nodes)
 
     def to_networkx(self):
-        """Export as a ``networkx.DiGraph`` (edges run subject→issuer)."""
+        """Export as a ``networkx.DiGraph`` (edges run subject→issuer).
+
+        ``networkx`` is optional: install the ``graph`` extra."""
         import networkx as nx
 
         graph = nx.DiGraph()

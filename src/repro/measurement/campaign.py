@@ -9,6 +9,7 @@ dataset report.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import zip_longest
 
@@ -112,22 +113,184 @@ class CollectionResult:
     def total_observations(self) -> int:
         return len(self.observations)
 
-    def raw_observations(self) -> list[tuple[str, list[Certificate]]]:
-        """The undeduplicated scan stream: every successful (domain,
-        chain) observation, vantage by vantage.
 
-        Most domains appear once per vantage serving the identical
-        chain, so this stream is what the chain-dedup verdict cache in
-        :mod:`repro.measurement.parallel` is built for; the union
-        :attr:`observations` list has that redundancy already merged
-        away.
+class CollectSweep:
+    """The collect half of the pipeline: scan, journal, merge.
+
+    :meth:`Campaign.collect` sweeps the whole population in one
+    :meth:`run`; :func:`~repro.measurement.shards.run_sharded` calls
+    :meth:`run` once per contiguous shard.  One
+    :class:`~repro.net.scanner.Scanner` (rate-limit bucket, optional
+    :class:`~repro.net.scanner.CircuitBreaker`) per vantage lives as
+    long as the sweep, so a sharded sweep is the same continuous
+    per-vantage scan merely chunked: journaled durations and breaker
+    behaviour carry across shard boundaries unchanged.  :meth:`finish`
+    applies the degradation rule and writes the ``collection`` event
+    once, after the last :meth:`run`.
+    """
+
+    def __init__(self, network: SimulatedNetwork,
+                 vantages: tuple[str, ...], *,
+                 journal: RunJournal | None = None,
+                 progress_factory=None,
+                 retry_policy: RetryPolicy | None = None,
+                 breaker_threshold: int | None = None,
+                 breaker_probe_interval: float = 300.0,
+                 collect_workers: int = 0,
+                 status=None,
+                 live_view=None) -> None:
+        self.network = network
+        self.vantages = vantages
+        self.journal = journal
+        self.progress_factory = progress_factory
+        self.collect_workers = collect_workers
+        self.status = status
+        self.live_view = live_view
+        self.journaled_scans: set[tuple[str, str]] = (
+            {(event.get("domain"), event.get("vantage"))
+             for event in journal.events("scan")}
+            if journal is not None else set()
+        )
+        self.scanners: dict[str, Scanner] = {
+            vantage: Scanner(
+                network, vantage, retry_policy=retry_policy,
+                breaker=CircuitBreaker(
+                    network.clock, vantage,
+                    threshold=breaker_threshold,
+                    probe_interval=breaker_probe_interval,
+                ) if breaker_threshold else None,
+            )
+            for vantage in vantages
+        }
+        #: finished and successful scans per vantage over every run
+        #: (run_sharded adds the shards it folds from a resumed journal)
+        self.attempted: Counter[str] = Counter()
+        self.successes: Counter[str] = Counter()
+
+    def run(self, domains: list[str], status_phase: str):
+        """Probe, replay and union-merge one contiguous run of domains.
+
+        Returns ``(per_vantage, (chain_keys, observations, all_certs))``
+        — the records and the :func:`_merge_union` triple.  ``status``
+        gets a ``status_phase`` phase counting scans (domains ×
+        vantages); ``progress_factory(vantage, len(domains))`` is
+        called once per vantage.
         """
-        stream: list[tuple[str, list[Certificate]]] = []
-        for records in self.per_vantage.values():
-            for record in records:
-                if record.success and record.chain:
-                    stream.append((record.domain, list(record.chain)))
-        return stream
+        tracer = obs.get_tracer()
+        journal = self.journal
+        journaled_scans = self.journaled_scans
+        status = self.status
+        vantages = self.vantages
+        if status is not None:
+            status.begin_phase(status_phase, len(domains) * len(vantages))
+        per_vantage: dict[str, list[ScanRecord]] = {}
+        with phase_scope("collect"), \
+                tracer.span("campaign.collect", domains=len(domains),
+                            vantages=len(vantages)):
+            with phase_scope("collect.probe"), \
+                    tracer.span("campaign.probe",
+                                units=len(domains) * len(vantages),
+                                workers=self.collect_workers):
+                probes, _ = probe_collection(
+                    self.network, vantages, domains,
+                    versions=(TLS12,),
+                    workers=self.collect_workers,
+                    live_view=self.live_view,
+                )
+            for vantage in vantages:
+                with phase_scope(f"collect.scan.{vantage}"), \
+                        tracer.span("campaign.scan", vantage=vantage):
+                    progress = (
+                        self.progress_factory(vantage, len(domains))
+                        if self.progress_factory is not None else None
+                    )
+
+                    def observe(record: ScanRecord,
+                                progress=progress) -> None:
+                        if journal is not None and (
+                            (record.domain, record.vantage)
+                            not in journaled_scans
+                        ):
+                            journal.record(
+                                "scan",
+                                domain=record.domain,
+                                vantage=record.vantage,
+                                success=record.success,
+                                tls_version=record.tls_version,
+                                error=(str(record.error)
+                                       if record.error else None),
+                                wire_bytes=record.wire_bytes,
+                                attempts=record.attempts,
+                                duration=record.duration,
+                            )
+                        if status is not None:
+                            status.advance(ok=record.success)
+                        if progress is not None:
+                            progress.update(ok=record.success)
+
+                    records = self.scanners[vantage].scan(
+                        domains, versions=(TLS12,), progress=observe,
+                        probes=probes,
+                    )
+                    if progress is not None:
+                        progress.finish()
+                per_vantage[vantage] = records
+                self.attempted[vantage] += len(records)
+                self.successes[vantage] += sum(
+                    1 for r in records if r.success
+                )
+            with tracer.span("campaign.union_merge"):
+                merged = _merge_union(vantages, per_vantage)
+        return per_vantage, merged
+
+    def finish(self, *, domains: int, observations: int,
+               unique_chains: int, unique_certificates: int
+               ) -> dict[str, str]:
+        """Mark degraded vantages and write the ``collection`` event.
+
+        A vantage is degraded when its breaker is still open after the
+        last run, or when it finished scans but none succeeded; the
+        union of the remaining vantages is then a partial dataset, and
+        the ``degraded`` flags say so explicitly.  On a resumed journal
+        a degradation or ``collection`` event it already holds is not
+        re-appended.  Returns vantage → reason.
+        """
+        journal = self.journal
+        journaled_degradations = (
+            set(journal.degraded_vantages()) if journal is not None
+            else set()
+        )
+        degraded_vantages: dict[str, str] = {}
+        for vantage in self.vantages:
+            breaker = self.scanners[vantage].breaker
+            if breaker is not None and breaker.tripped:
+                reason = "breaker_open"
+            elif self.attempted[vantage] and not self.successes[vantage]:
+                reason = "no_successful_scans"
+            else:
+                continue
+            degraded_vantages[vantage] = reason
+            _log.warning("campaign.vantage_degraded",
+                         vantage=vantage, reason=reason)
+            obs.get_metrics().counter(
+                "campaign.vantage_degraded", vantage=vantage
+            ).inc()
+            if journal is not None and vantage not in journaled_degradations:
+                journal.record_degradation(vantage, reason)
+        _log.info("campaign.collected", domains=domains,
+                  observations=observations, unique_chains=unique_chains,
+                  degraded=bool(degraded_vantages))
+        if journal is not None and not journal.events("collection"):
+            journal.record(
+                "collection",
+                domains=domains,
+                observations=observations,
+                unique_chains=unique_chains,
+                unique_certificates=unique_certificates,
+                degraded=bool(degraded_vantages),
+                degraded_vantages=degraded_vantages,
+            )
+        return degraded_vantages
 
 
 @dataclass
@@ -188,6 +351,10 @@ class Campaign:
                 live_view=None) -> CollectionResult:
         """Scan every domain from each vantage and merge (union rule).
 
+        The whole population in one :class:`CollectSweep` run, every
+        record kept in memory; ``run_sharded`` streams the same sweep
+        shard by shard instead.
+
         Parameters
         ----------
         journal:
@@ -224,9 +391,9 @@ class Campaign:
         status / live_view:
             Optional :class:`~repro.obs.server.RunStatus` /
             :class:`~repro.obs.server.LiveRegistryView` feeding the
-            embedded telemetry server: the probe phase registers its
-            own ``collect.probe`` progress phase and streams worker
-            snapshot partials into the live view.  Read-side only.
+            embedded telemetry server: a ``collect`` progress phase
+            counting scans, and the probe workers' snapshot partials
+            streamed into the live view.  Read-side only.
 
         A vantage that finishes its sweep with zero successful scans
         (over a non-empty domain list) is always marked degraded, with
@@ -234,127 +401,27 @@ class Campaign:
         partial dataset, and the ``degraded`` flags on the result and
         the journal's ``collection`` event say so explicitly.
         """
-        tracer = obs.get_tracer()
-        network = self._ensure_network()
         domains = [d.domain for d in self.ecosystem.deployments]
-        journaled_scans: set[tuple[str, str]] = set()
-        journaled_degradations: set[str] = set()
-        collection_journaled = False
-        if journal is not None:
-            journaled_scans = {
-                (event.get("domain"), event.get("vantage"))
-                for event in journal.events("scan")
-            }
-            journaled_degradations = {
-                event.get("vantage")
-                for event in journal.events("degradation")
-            }
-            collection_journaled = bool(journal.events("collection"))
-        per_vantage: dict[str, list[ScanRecord]] = {}
-        degraded_vantages: dict[str, str] = {}
-        with phase_scope("collect"), \
-                tracer.span("campaign.collect", domains=len(domains),
-                            vantages=len(vantages)):
-            with phase_scope("collect.probe"), \
-                    tracer.span("campaign.probe",
-                                units=len(domains) * len(vantages),
-                                workers=collect_workers):
-                probes, probe_stats = probe_collection(
-                    network, vantages, domains,
-                    versions=(TLS12,),
-                    workers=collect_workers,
-                    status=status, live_view=live_view,
-                )
-            _log.info("campaign.probed",
-                      units=probe_stats.units,
-                      unique_flights=probe_stats.unique_flights,
-                      workers=probe_stats.effective_workers,
-                      mode=probe_stats.mode)
-            for vantage in vantages:
-                with phase_scope(f"collect.scan.{vantage}"), \
-                        tracer.span("campaign.scan", vantage=vantage):
-                    breaker = (
-                        CircuitBreaker(
-                            network.clock, vantage,
-                            threshold=breaker_threshold,
-                            probe_interval=breaker_probe_interval,
-                        )
-                        if breaker_threshold else None
-                    )
-                    scanner = Scanner(
-                        network, vantage,
-                        retry_policy=retry_policy, breaker=breaker,
-                    )
-                    progress = (
-                        progress_factory(vantage, len(domains))
-                        if progress_factory is not None else None
-                    )
-
-                    def observe(record: ScanRecord,
-                                progress=progress) -> None:
-                        if journal is not None and (
-                            (record.domain, record.vantage)
-                            not in journaled_scans
-                        ):
-                            journal.record(
-                                "scan",
-                                domain=record.domain,
-                                vantage=record.vantage,
-                                success=record.success,
-                                tls_version=record.tls_version,
-                                error=(str(record.error)
-                                       if record.error else None),
-                                wire_bytes=record.wire_bytes,
-                                attempts=record.attempts,
-                                duration=record.duration,
-                            )
-                        if progress is not None:
-                            progress.update(ok=record.success)
-
-                    records = scanner.scan(
-                        domains, versions=(TLS12,), progress=observe,
-                        probes=probes,
-                    )
-                    per_vantage[vantage] = records
-                    if progress is not None:
-                        progress.finish()
-                    reason = self._degradation_reason(records, breaker)
-                    if reason is not None:
-                        degraded_vantages[vantage] = reason
-                        _log.warning("campaign.vantage_degraded",
-                                     vantage=vantage, reason=reason)
-                        obs.get_metrics().counter(
-                            "campaign.vantage_degraded", vantage=vantage
-                        ).inc()
-                        if (journal is not None
-                                and vantage not in journaled_degradations):
-                            journal.record_degradation(vantage, reason)
-
-            with tracer.span("campaign.union_merge"):
-                chain_keys, observations, all_certs = _merge_union(
-                    vantages, per_vantage
-                )
-        _log.info("campaign.collected", domains=len(domains),
-                  observations=len(observations),
-                  unique_chains=len(chain_keys),
-                  degraded=bool(degraded_vantages))
-        if journal is not None and not collection_journaled:
-            journal.record(
-                "collection",
-                domains=len(domains),
-                observations=len(observations),
-                unique_chains=len(chain_keys),
-                unique_certificates=len(all_certs),
-                degraded=bool(degraded_vantages),
-                degraded_vantages=degraded_vantages,
-            )
+        sweep = CollectSweep(
+            self._ensure_network(), vantages, journal=journal,
+            progress_factory=progress_factory, retry_policy=retry_policy,
+            breaker_threshold=breaker_threshold,
+            breaker_probe_interval=breaker_probe_interval,
+            collect_workers=collect_workers,
+            status=status, live_view=live_view,
+        )
+        per_vantage, (chain_keys, observations, all_certs) = sweep.run(
+            domains, "collect"
+        )
+        degraded_vantages = sweep.finish(
+            domains=len(domains), observations=len(observations),
+            unique_chains=len(chain_keys),
+            unique_certificates=len(all_certs),
+        )
         return CollectionResult(
             per_vantage=per_vantage,
             observations=observations,
-            reachable_counts={
-                v: sum(1 for r in records if r.success)
-                for v, records in per_vantage.items()
-            },
+            reachable_counts={v: sweep.successes[v] for v in vantages},
             unique_chains=len(chain_keys),
             unique_certificates=len(all_certs),
             degraded_vantages=degraded_vantages,
@@ -363,26 +430,19 @@ class Campaign:
     def run_sharded(self, shard_size: int, **kwargs):
         """Stream collect → analyse in contiguous domain shards.
 
-        Peak memory is bounded by ``shard_size`` instead of the
-        population: each shard's records and chains are released once
-        its verdicts are journaled and its aggregate merged.  The
-        final report is byte-identical to ``collect()`` + ``analyze()``
-        for any shard size; see :func:`repro.measurement.shards.run_sharded`
-        for the full parameter list and equivalence guarantees.
+        The campaign's one end-to-end pipeline: ``scan
+        --simulate-network`` always runs it, with a single shard of the
+        whole population unless ``--shard-size`` is given.  Peak memory
+        is bounded by ``shard_size`` instead of the population: each
+        shard's records and chains are released once its verdicts are
+        journaled and its aggregate merged.  The final report is
+        byte-identical to ``collect()`` + ``analyze()`` for any shard
+        size; see :func:`repro.measurement.shards.run_sharded` for the
+        full parameter list and equivalence guarantees.
         """
         from repro.measurement.shards import run_sharded
 
         return run_sharded(self, shard_size, **kwargs)
-
-    @staticmethod
-    def _degradation_reason(records: list[ScanRecord],
-                            breaker: CircuitBreaker | None) -> str | None:
-        """Why a finished vantage sweep counts as degraded, if it does."""
-        if breaker is not None and breaker.tripped:
-            return "breaker_open"
-        if records and not any(r.success for r in records):
-            return "no_successful_scans"
-        return None
 
     def compare_tls_versions(self, *, vantage: str = VANTAGE_US,
                              sample: int | None = None) -> float:

@@ -52,15 +52,21 @@ def observation_from_json(line: str) -> Observation:
     return domain, chain
 
 
+def write_observations(handle, observations: list[Observation]) -> int:
+    """Append observations to an open text file as JSONL lines;
+    returns the line count.  Successive calls concatenate, so a corpus
+    written batch by batch equals one written whole."""
+    for domain, chain in observations:
+        handle.write(observation_to_json(domain, chain))
+        handle.write("\n")
+    return len(observations)
+
+
 def save_observations(path: str | Path,
                       observations: list[Observation]) -> int:
     """Write observations to ``path`` as JSONL; returns the line count."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as handle:
-        for domain, chain in observations:
-            handle.write(observation_to_json(domain, chain))
-            handle.write("\n")
-    return len(observations)
+    with Path(path).open("w", encoding="utf-8") as handle:
+        return write_observations(handle, observations)
 
 
 def load_observations(path: str | Path) -> list[Observation]:

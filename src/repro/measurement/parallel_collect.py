@@ -20,7 +20,8 @@ pipeline splits collection in two:
    worker, forked otherwise); chains are decoded once per unique
    server flight (both vantages almost always share it) and shipped
    back with fingerprints pre-hashed.
-2. **Replay phase (sequential, in :meth:`Campaign.collect`).**  The
+2. **Replay phase (sequential, in
+   :class:`~repro.measurement.campaign.CollectSweep`).**  The
    ordinary per-vantage sweep runs unchanged, but each
    :meth:`Scanner.scan_domain` replays its probe instead of calling
    the handler: the *real* ``network.connect`` still performs the RNG
@@ -163,20 +164,18 @@ def probe_collection(
     versions: tuple[str, ...] = (TLS12,),
     port: int = DEFAULT_PORT,
     workers: int = 1,
-    status=None,
     live_view=None,
 ) -> tuple[ProbeTable, CollectStats]:
     """Probe every (vantage, domain) unit through :func:`run_spans`.
 
     The returned table feeds :meth:`Scanner.scan` (via
-    :meth:`Campaign.collect`'s ``collect_workers``); its contents are a
+    :class:`~repro.measurement.campaign.CollectSweep`'s
+    ``collect_workers``); its contents are a
     pure function of the installed topology, so worker count and span
     boundaries cannot change it — only how fast it is built.
 
-    ``status`` (a :class:`~repro.obs.server.RunStatus`) gets its own
-    ``collect.probe`` phase advanced once per unit; ``live_view``
-    receives the fork workers' periodic partial snapshots.  Both are
-    read-side telemetry only.
+    ``live_view`` receives the fork workers' periodic partial
+    snapshots: read-side telemetry only.
     """
     # Domain-major: a domain's vantage units sit adjacent, so they land
     # in the same span and the second one reuses the first's decoded
@@ -184,8 +183,6 @@ def probe_collection(
     units = [(vantage, domain) for domain in domains
              for vantage in vantages]
     effective, mode = resolve_workers(workers)
-    if status is not None:
-        status.begin_phase("collect.probe", len(units))
     # Flight-decode memo keyed by flight object id; a forked worker
     # inherits it empty and fills its own copy across its spans.
     memo: dict[int, tuple[Certificate, ...]] = {}
@@ -215,8 +212,6 @@ def probe_collection(
             if probe is not None:
                 table[units[start + offset]] = probe
         decoded += span_decoded
-        if status is not None:
-            status.advance(len(probes))
 
     stats = CollectStats(
         units=len(units),

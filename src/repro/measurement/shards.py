@@ -10,7 +10,9 @@ population into contiguous shards of ``shard_size`` and streams
 *collect → analyse* per shard, releasing each shard's records and
 chains once its verdicts are journaled and folded into the running
 :class:`~repro.core.report.DatasetReport`.  Peak memory is bounded by
-the shard size, not the population.
+the shard size, not the population.  It is the CLI's only network
+pipeline: ``scan --simulate-network`` without ``--shard-size`` runs a
+single shard of the whole population.
 
 Equivalence guarantees (pinned by ``tests/measurement/test_shards.py``):
 
@@ -60,17 +62,14 @@ after it.  The final report is byte-identical to an uninterrupted run.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 from repro import obs
 from repro.core.compliance import ChainComplianceReport
 from repro.core.report import DatasetReport, aggregate
-from repro.measurement.campaign import Campaign, _merge_union
+from repro.measurement.campaign import Campaign, CollectSweep
 from repro.measurement.parallel import VerdictCache
-from repro.measurement.parallel_collect import probe_collection
-from repro.net.scanner import CircuitBreaker, RetryPolicy, Scanner
-from repro.net.tls import TLS12
+from repro.net.scanner import RetryPolicy
 from repro.obs.journal import RunJournal
 from repro.obs.probe import phase_scope
 from repro.trust.aia import AIAFetcher
@@ -143,31 +142,26 @@ class ShardedRunResult:
         return sum(1 for shard in self.shards if shard.resumed)
 
 
-def _completed_prefix(bounds, events) -> int:
+def _completed_prefix(bounds, recorded: set) -> int:
     """How many leading shards the resumed journal already completed.
 
-    Only a *contiguous* prefix counts: a ``shard`` event is written
-    after its verdicts, so shard k present ⇒ shards 0..k-1 present
-    under normal operation; anything after a gap is re-run (its
-    journaled scans/verdicts dedup, so no double work or double
-    events).
+    ``recorded`` holds the journal's ``shard`` events as
+    ``(index, start, stop)``.  Only a *contiguous* prefix counts: a
+    ``shard`` event is written after its verdicts, so shard k present
+    ⇒ shards 0..k-1 present under normal operation; anything after a
+    gap is re-run (its journaled scans/verdicts dedup, so no double
+    work or double events).
     """
-    recorded = {
-        (event.get("index"), event.get("start"), event.get("stop"))
-        for event in events
-        if event.get("type") == "shard"
-    }
     completed = 0
-    for index, start, stop in bounds:
-        if (index, start, stop) not in recorded:
+    for shard in bounds:
+        if shard not in recorded:
             break
         completed += 1
     return completed
 
 
 def _fold_completed(dataset: DatasetReport, events, completed: int,
-                    bounds, domains, vantages,
-                    attempted: Counter, successes: Counter,
+                    bounds, domains, sweep: CollectSweep,
                     unique_chain_hexes: set, unique_cert_hexes: set
                     ) -> list[ShardStats]:
     """Reconstruct the completed-shard prefix from the ordered journal.
@@ -189,13 +183,13 @@ def _fold_completed(dataset: DatasetReport, events, completed: int,
     for event in events:
         kind = event.get("type")
         if kind == "scan":
-            if (event.get("vantage") in vantages
+            if (event.get("vantage") in sweep.vantages
                     and domain_index.get(event.get("domain"), -1)
                     < completed_stop):
                 vantage = event["vantage"]
-                attempted[vantage] += 1
+                sweep.attempted[vantage] += 1
                 if event.get("success"):
-                    successes[vantage] += 1
+                    sweep.successes[vantage] += 1
         elif kind == "verdict":
             if len(shards) < completed:
                 group.append(
@@ -223,6 +217,7 @@ def run_sharded(
     *,
     vantages: tuple[str, ...] = (VANTAGE_US, VANTAGE_AU),
     journal: RunJournal | None = None,
+    progress_factory=None,
     retry_policy: RetryPolicy | None = None,
     breaker_threshold: int | None = None,
     breaker_probe_interval: float = 300.0,
@@ -235,28 +230,43 @@ def run_sharded(
     snapshot_writer=None,
     status=None,
     live_view=None,
+    observation_sink=None,
 ) -> ShardedRunResult:
     """Stream the campaign shard by shard with bounded peak memory.
 
+    This is the campaign's one collect → merge → analyse pipeline; an
+    unsharded run is a single shard (``shard_size`` at or above the
+    population).  Every shard runs the same
+    :class:`~repro.measurement.campaign.CollectSweep` as
+    :meth:`Campaign.collect`, then :meth:`Campaign.analyze`.
+
     Parameters mirror :meth:`Campaign.collect` /
     :meth:`Campaign.analyze`; ``workers``/``collect_workers`` size
-    the probe and analyse phases *within* each shard.  A shared
-    :class:`~repro.measurement.parallel.VerdictCache` is created when
-    ``workers`` is set and none is passed, so chain-dedup hit rates
-    match an unsharded run; without one each shard dedups on its own
-    and the cache never outgrows a shard.  ``verdict_store`` (a
+    the probe and analyse phases *within* each shard, and
+    ``progress_factory`` is called once per vantage per shard.  A
+    shared :class:`~repro.measurement.parallel.VerdictCache` is created
+    when ``workers`` is set and none is passed, so chain-dedup hit
+    rates match an unsharded run; without one each shard dedups on its
+    own and the cache never outgrows a shard.  ``verdict_store`` (a
     :class:`~repro.measurement.store.VerdictStore`) backs that cache
     persistently, exactly as in :meth:`Campaign.analyze` — shards of a
     warm run resolve their chains from the store instead of
     re-analysing them.
 
+    ``observation_sink``, when given, is called with each shard's union
+    observations in shard order, before they are analysed and
+    released; because the merge is prefix-decomposable the
+    concatenation is the whole-corpus union for any shard size.  Shards
+    folded from a resumed journal have no chains to hand over, so with
+    a sink every shard is re-run (its journaled events dedup).
+
     ``status`` phases are shard-scoped — ``collect.shard.K`` counting
     scans, ``analyze.shard.K`` counting verdicts — as are the
-    ``phase_scope`` resource metrics, so live dashboards and run
-    reports show per-shard progress and cost.
+    ``collect.shard.K``/``analyze.shard.K`` ``phase_scope`` resource
+    metrics, around the sweep's own ``collect``, ``collect.probe`` and
+    ``collect.scan.<vantage>`` scopes and the analysis's ``analyze``.
     """
     tracer = obs.get_tracer()
-    network = campaign._ensure_network()
     domains = [d.domain for d in campaign.ecosystem.deployments]
     bounds = shard_bounds(len(domains), shard_size)
     store = store or campaign.ecosystem.registry.union()
@@ -264,141 +274,61 @@ def run_sharded(
                else campaign.ecosystem.aia_repo)
     if cache is None and (workers or verdict_store is not None):
         cache = VerdictCache(backing=verdict_store)
-    elif cache is not None and verdict_store is not None \
-            and cache.backing is None:
-        cache.backing = verdict_store
+    sweep = CollectSweep(
+        campaign._ensure_network(), vantages, journal=journal,
+        progress_factory=progress_factory, retry_policy=retry_policy,
+        breaker_threshold=breaker_threshold,
+        breaker_probe_interval=breaker_probe_interval,
+        collect_workers=collect_workers,
+        status=status, live_view=live_view,
+    )
 
-    journaled_scans: set[tuple[str, str]] = set()
-    journaled_degradations: set[str] = set()
-    collection_journaled = False
     dataset = DatasetReport()
     shards: list[ShardStats] = []
-    attempted: Counter[str] = Counter()
-    successes: Counter[str] = Counter()
     unique_chain_hexes: set[tuple[str, ...]] = set()
     unique_cert_hexes: set[str] = set()
-    total_observations = 0
+    recorded: set[tuple[int, int, int]] = set()
     completed = 0
     if journal is not None:
         ordered = journal.events()
-        journaled_scans = {
-            (event.get("domain"), event.get("vantage"))
-            for event in ordered if event.get("type") == "scan"
+        recorded = {
+            (event.get("index"), event.get("start"), event.get("stop"))
+            for event in ordered if event.get("type") == "shard"
         }
-        journaled_degradations = {
-            event.get("vantage")
-            for event in ordered if event.get("type") == "degradation"
-        }
-        collection_journaled = any(
-            event.get("type") == "collection" for event in ordered
-        )
-        completed = _completed_prefix(bounds, ordered)
+        if observation_sink is None:
+            completed = _completed_prefix(bounds, recorded)
         if completed:
             shards = _fold_completed(
-                dataset, ordered, completed, bounds, domains, vantages,
-                attempted, successes, unique_chain_hexes,
-                unique_cert_hexes,
+                dataset, ordered, completed, bounds, domains, sweep,
+                unique_chain_hexes, unique_cert_hexes,
             )
-            total_observations = sum(s.observations for s in shards)
             _log.info("shards.resumed", completed=completed,
-                      observations=total_observations)
-
-    # One scanner (token bucket, breaker) per vantage for the whole
-    # run: the sharded sweep is the same continuous per-vantage scan
-    # as the unsharded one, merely chunked, so journaled durations and
-    # breaker behaviour carry across shard boundaries unchanged.
-    breakers: dict[str, CircuitBreaker | None] = {}
-    scanners: dict[str, Scanner] = {}
-    for vantage in vantages:
-        breaker = (
-            CircuitBreaker(
-                network.clock, vantage,
-                threshold=breaker_threshold,
-                probe_interval=breaker_probe_interval,
-            )
-            if breaker_threshold else None
-        )
-        breakers[vantage] = breaker
-        scanners[vantage] = Scanner(
-            network, vantage,
-            retry_policy=retry_policy, breaker=breaker,
-        )
+                      observations=sum(s.observations for s in shards))
 
     def run_shard(index: int, start: int, stop: int) -> int:
         """Collect, merge, and analyse one shard; returns the union
         observation count.  Everything per-shard — records, chains,
         per-chain reports — lives only in this frame, so it is
         released as soon as the shard's aggregate is merged."""
-        shard_domains = domains[start:stop]
-        with phase_scope(f"collect.shard.{index}"), \
-                tracer.span("campaign.collect.shard", index=index,
-                            domains=len(shard_domains)):
-            if status is not None:
-                status.begin_phase(f"collect.shard.{index}",
-                                   len(shard_domains) * len(vantages))
-            probes, probe_stats = probe_collection(
-                network, vantages, shard_domains,
-                versions=(TLS12,), workers=collect_workers,
-                live_view=live_view,
+        with phase_scope(f"collect.shard.{index}"):
+            per_vantage, (chain_keys, observations, all_certs) = sweep.run(
+                domains[start:stop], f"collect.shard.{index}"
             )
-            _log.info("shards.probed", index=index,
-                      units=probe_stats.units,
-                      workers=probe_stats.effective_workers,
-                      mode=probe_stats.mode)
-            per_vantage = {}
-            for vantage in vantages:
-
-                def observe(record) -> None:
-                    if journal is not None and (
-                        (record.domain, record.vantage)
-                        not in journaled_scans
-                    ):
-                        journal.record(
-                            "scan",
-                            domain=record.domain,
-                            vantage=record.vantage,
-                            success=record.success,
-                            tls_version=record.tls_version,
-                            error=(str(record.error)
-                                   if record.error else None),
-                            wire_bytes=record.wire_bytes,
-                            attempts=record.attempts,
-                            duration=record.duration,
-                        )
-                    if status is not None:
-                        status.advance(ok=record.success)
-
-                with tracer.span("campaign.scan", vantage=vantage,
-                                 shard=index):
-                    records = scanners[vantage].scan(
-                        shard_domains, versions=(TLS12,),
-                        progress=observe, probes=probes,
-                    )
-                per_vantage[vantage] = records
-                attempted[vantage] += len(records)
-                successes[vantage] += sum(
-                    1 for r in records if r.success
-                )
-            with tracer.span("campaign.union_merge", shard=index):
-                chain_keys, observations, all_certs = _merge_union(
-                    vantages, per_vantage
-                )
             unique_chain_hexes.update(
                 tuple(fp.hex() for fp in key) for key in chain_keys
             )
             unique_cert_hexes.update(fp.hex() for fp in all_certs)
-            del per_vantage, records, chain_keys, all_certs
-
-        with phase_scope(f"analyze.shard.{index}"), \
-                tracer.span("campaign.analyze.shard", index=index,
-                            chains=len(observations)):
+            del per_vantage, chain_keys, all_certs
+        if observation_sink is not None:
+            observation_sink(observations)
+        with phase_scope(f"analyze.shard.{index}"):
             if status is not None:
                 status.begin_phase(f"analyze.shard.{index}",
                                    len(observations))
             shard_report, _ = campaign.analyze(
                 observations, store=store, fetcher=fetcher,
                 journal=journal, snapshot_writer=snapshot_writer,
-                workers=workers, cache=cache,
+                workers=workers, cache=cache, verdict_store=verdict_store,
                 status=status, live_view=live_view,
             )
             dataset.merge(shard_report)
@@ -408,50 +338,23 @@ def run_sharded(
             tracer.span("campaign.run_sharded", domains=len(domains),
                         shard_size=shard_size, shards=len(bounds)):
         for index, start, stop in bounds[completed:]:
-            count = run_shard(index, start, stop)
-            total_observations += count
+            with tracer.span("campaign.shard", index=index,
+                             domains=stop - start):
+                count = run_shard(index, start, stop)
             shards.append(ShardStats(
                 index=index, start=start, stop=stop,
                 observations=count,
             ))
-            if journal is not None:
+            if journal is not None and (index, start, stop) not in recorded:
                 journal.record("shard", index=index, start=start,
                                stop=stop, observations=count)
             _log.info("shards.completed", index=index,
                       start=start, stop=stop, observations=count)
-
-        degraded_vantages: dict[str, str] = {}
-        for vantage in vantages:
-            breaker = breakers[vantage]
-            if breaker is not None and breaker.tripped:
-                reason = "breaker_open"
-            elif attempted[vantage] and not successes[vantage]:
-                reason = "no_successful_scans"
-            else:
-                continue
-            degraded_vantages[vantage] = reason
-            _log.warning("campaign.vantage_degraded",
-                         vantage=vantage, reason=reason)
-            obs.get_metrics().counter(
-                "campaign.vantage_degraded", vantage=vantage
-            ).inc()
-            if (journal is not None
-                    and vantage not in journaled_degradations):
-                journal.record_degradation(vantage, reason)
-
-    _log.info("campaign.collected", domains=len(domains),
-              observations=total_observations,
-              unique_chains=len(unique_chain_hexes),
-              degraded=bool(degraded_vantages))
-    if journal is not None and not collection_journaled:
-        journal.record(
-            "collection",
-            domains=len(domains),
-            observations=total_observations,
+        total_observations = sum(shard.observations for shard in shards)
+        degraded_vantages = sweep.finish(
+            domains=len(domains), observations=total_observations,
             unique_chains=len(unique_chain_hexes),
             unique_certificates=len(unique_cert_hexes),
-            degraded=bool(degraded_vantages),
-            degraded_vantages=degraded_vantages,
         )
     return ShardedRunResult(
         report=dataset,
@@ -460,10 +363,10 @@ def run_sharded(
         unique_chains=len(unique_chain_hexes),
         unique_certificates=len(unique_cert_hexes),
         reachable_counts={
-            vantage: successes[vantage] for vantage in vantages
+            vantage: sweep.successes[vantage] for vantage in vantages
         },
         attempted_counts={
-            vantage: attempted[vantage] for vantage in vantages
+            vantage: sweep.attempted[vantage] for vantage in vantages
         },
         degraded_vantages=degraded_vantages,
         shards=shards,

@@ -77,7 +77,12 @@ class JournalSource:
                 rate = max(0, done - self._last[1]) / elapsed
         self._last = (now, done)
 
-        collecting = report.observations is None
+        # a sharded run (an unsharded scan is one shard) writes its
+        # collection summary after the last shard: until then, the
+        # phase is whichever of scanning or analysing wrote last
+        last = next((event.get("type") for event in reversed(events)
+                     if event.get("type") in ("scan", "verdict")), None)
+        collecting = report.observations is None and last != "verdict"
         finished = (not collecting and total > 0 and done >= total)
         return {
             "source": self.label,

@@ -117,6 +117,27 @@ class TestJournalSource:
         assert got["done"] == 0 and got["total"] > 0
         assert not got["finished"]
 
+    def test_mid_analyse_one_shard_journal_reads_as_analyze_phase(
+            self, tmp_path):
+        """A one-shard run journals its ``collection`` summary last, so
+        verdicts with no summary yet mean analysis is under way."""
+        path = tmp_path / "one-shard.jsonl"
+        ecosystem = Ecosystem.generate(
+            EcosystemConfig(n_domains=10, seed=2)
+        )
+        campaign = Campaign(ecosystem)
+        with RunJournal.create(path, campaign.manifest()) as journal:
+            campaign.run_sharded(len(ecosystem.deployments),
+                                 journal=journal)
+        lines = path.read_text().splitlines()
+        last_verdict = max(i for i, line in enumerate(lines)
+                           if line.startswith('{"type":"verdict"'))
+        path.write_text("\n".join(lines[:last_verdict]) + "\n")
+        got = JournalSource(path).frame()
+        assert got["phase"] == "analyze"
+        assert got["done"] > 0
+        assert not got["finished"]
+
     def test_missing_journal_raises_source_error(self, tmp_path):
         with pytest.raises(SourceError):
             JournalSource(tmp_path / "nope.jsonl").frame()

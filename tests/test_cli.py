@@ -155,6 +155,76 @@ class TestScanNetworkMode:
         names = {event["name"] for event in trace}
         assert "campaign.collect" in names and "campaign.analyze" in names
 
+    @pytest.mark.parametrize("extra", [[], ["--shard-size", "7"]],
+                             ids=["one-shard", "shard-size-7"])
+    def test_output_matches_whole_corpus_collect(self, tmp_path, capsys,
+                                                 extra):
+        from repro.measurement import Campaign, save_observations
+        from repro.webpki import Ecosystem, EcosystemConfig
+
+        corpus = tmp_path / "corpus.jsonl"
+        code = main(["scan", "--domains", "60", "--seed", "6",
+                     "--simulate-network", "--output", str(corpus),
+                     *extra])
+        assert code == 0
+        assert "observations to" in capsys.readouterr().out
+        expected = tmp_path / "expected.jsonl"
+        ecosystem = Ecosystem.generate(EcosystemConfig(n_domains=60,
+                                                       seed=6))
+        save_observations(expected,
+                          Campaign(ecosystem).collect().observations)
+        assert corpus.read_bytes() == expected.read_bytes()
+
+    def test_progress_with_shards_needs_no_note(self, capsys):
+        code = main(["scan", "--domains", "30", "--seed", "6",
+                     "--simulate-network", "--progress",
+                     "--shard-size", "7"])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert "note:" not in captured.out + captured.err
+        assert "scan[us]" in captured.err
+
+
+class TestScanOnePipeline:
+    """An unsharded network scan is a single shard of the one pipeline:
+    a shard size changes no result row and no scan or verdict event."""
+
+    def scan(self, tmp_path, capsys, tag, *extra):
+        from repro.obs import read_journal
+
+        journal = tmp_path / f"{tag}.jsonl"
+        code = main(["scan", "--domains", "60", "--seed", "6",
+                     "--simulate-network", "--journal", str(journal),
+                     *extra])
+        assert code == 0
+        rows = [line for line in capsys.readouterr().out.splitlines()
+                if not line.startswith("wrote ")]
+        _, events = read_journal(journal)
+        return rows, events
+
+    def test_shard_size_changes_no_result(self, tmp_path, capsys):
+        flat_rows, flat_events = self.scan(tmp_path, capsys, "flat")
+        rows, events = self.scan(tmp_path, capsys, "sharded",
+                                 "--shard-size", "7")
+        assert not any(row.startswith("shards:") for row in flat_rows)
+        assert [row for row in rows
+                if not row.startswith("shards:")] == flat_rows
+        assert "shards: 10 × 7 domains" in rows  # 66 deployments
+
+        def of_type(events, kind):
+            return [e for e in events if e["type"] == kind]
+
+        assert of_type(events, "verdict") == of_type(flat_events, "verdict")
+
+        def scan_key(event):
+            return event["vantage"], event["domain"]
+
+        assert (sorted(of_type(events, "scan"), key=scan_key)
+                == sorted(of_type(flat_events, "scan"), key=scan_key))
+        # the unsharded run journals its one shard boundary
+        assert [(e["index"], e["start"]) for e in flat_events
+                if e["type"] == "shard"] == [(0, 0)]
+
 
 class TestScanCollectWorkers:
     """--collect-workers N must be invisible in every output: journal
@@ -611,8 +681,12 @@ class TestScanReportOut:
         payload = json.loads(report.read_text())
         assert payload["report_version"] == 1
         assert payload["verdicts"]["total"] > 0
-        # built with the live registry snapshot: phases present
-        assert payload["phases"]
+        # built with the live registry snapshot: the unsharded run is
+        # one shard, and still reports the sweep's own phases
+        phases = {row["phase"] for row in payload["phases"]}
+        assert {"collect", "collect.probe", "collect.scan.us",
+                "collect.scan.au", "analyze", "collect.shard.0",
+                "analyze.shard.0"} <= phases
 
 
 class TestDiffRuns:

@@ -106,7 +106,8 @@ def test_parallel_collect_snippet(tmp_path, monkeypatch):
 
 def test_sharded_scan_snippet(tmp_path):
     """The README's `--shard-size` line, plus the byte-identical-report
-    claim made right under it.
+    claim made right under it, and the claim that an unsharded scan is
+    a single shard of the whole population.
 
     Unlike the parallel-collect snippet the journals are *not* compared
     raw: a sharded journal interleaves events per shard and adds
@@ -134,6 +135,9 @@ def test_sharded_scan_snippet(tmp_path):
 
     manifest_a, events_a = read_journal(sharded)
     manifest_b, events_b = read_journal(sequential)
+    population = 66  # 60 ranked domains plus the six case studies
+    assert [(e["index"], e["start"], e["stop"]) for e in events_b
+            if e["type"] == "shard"] == [(0, 0, population)]
     assert [e for e in events_a if e["type"] == "verdict"] == [
         e for e in events_b if e["type"] == "verdict"
     ]
